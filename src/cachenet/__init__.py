@@ -13,7 +13,7 @@ from .network import (
     queueing_link_costs,
     zero_costs,
 )
-from .flow import FlowState, Strategy, solve_traffic, total_cost, validate_strategy
+from .flow import FlowState, Strategy, solve_traffic, validate_strategy
 from .marginals import (
     MarginalState,
     check_kkt,
@@ -86,7 +86,6 @@ __all__ = [
     "shortest_path_strategy",
     "solve_traffic",
     "static_blocked_sets",
-    "total_cost",
     "validate_strategy",
     "zero_costs",
 ]

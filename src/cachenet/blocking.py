@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedDemandError, LoopError
-from .marginals import PHI_ACTIVE, topological_order
+from .marginals import PHI_ACTIVE
 
 
 @dataclass
@@ -29,9 +29,6 @@ class BlockedSets:
     def is_blocked(self, topology, i, j, k):
         e = topology.edge_index.get((i, j))
         return True if e is None else bool(self.mask[k, e])
-
-    def unblocked_out(self, topology, i, k):
-        return [e for e in topology.out_edges[i] if not self.mask[k, e]]
 
 
 def server_distances(topology, demand, weights):
@@ -118,6 +115,37 @@ def _check_reachability(topology, demand, blocked):
             raise DisconnectedDemandError(
                 f"nodes {missing} have no unblocked path to a server of item {k}"
             )
+
+
+def topological_order(topology, active_out):
+    """Deterministic topological order of the positive-edge subgraph.
+
+    active_out[i] yields the active out-neighbors of i.  Nodes touching at
+    least one active edge are Kahn-sorted (lowest id first among ready
+    nodes); nodes with no active incidence are appended in id order.
+    Returns None if the subgraph has a cycle.
+    """
+    n = topology.num_nodes
+    indeg = [0] * n
+    incident = [False] * n
+    for i in range(n):
+        for j in active_out(i):
+            indeg[j] += 1
+            incident[i] = incident[j] = True
+    ready = [i for i in range(n) if incident[i] and indeg[i] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in active_out(i):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    if len(order) != sum(incident):
+        return None  # cycle among incident nodes
+    order.extend(i for i in range(n) if not incident[i])
+    return order
 
 
 def dynamic_blocked_sets(topology, demand, strategy):

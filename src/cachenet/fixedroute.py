@@ -15,17 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllRoutedError
-from .flow import Strategy
-
-PHI_EPS = 1e-15
+from .flow import Strategy, dag_levels, sweep_forward, sweep_reverse
+from .marginals import server_mask
 
 
 class FixedRoutingInstance:
-    """Validated next-hop table with materialized request paths.
+    """Validated next-hop table and the levels of its next-hop forest.
 
-    next_hop maps (node, item) -> neighbor; every requester's path must be
-    acyclic, end at a designated server of the item, and contain no
-    intermediate designated server.
+    next_hop maps (node, item) -> neighbor over a link.  No designated server
+    may have a next hop, the next hops may form no cycle (whether or not a
+    request enters it), and every non-server node that requests reach needs
+    a next hop, so every request path ends at a designated server.  Flows and
+    gradients are sweeps over the forest's levels, built once here, with
+    phi = 1 - y on the next hops.
     """
 
     def __init__(self, topology, demand, cost, next_hop):
@@ -33,70 +35,76 @@ class FixedRoutingInstance:
         self.demand = demand
         self.cost = cost
         self.next_hop = dict(next_hop)
-        self._validate()
-        self.paths = self._materialize_paths()
-        self._baseline = None
-
-    def _validate(self):
-        top, dem = self.topology, self.demand
+        top, dem = topology, demand
+        C, V = dem.num_items, top.num_nodes
+        hop = np.zeros((C, top.num_links), dtype=bool)
+        forwards = np.zeros((C, V), dtype=bool)
         for (i, k), j in self.next_hop.items():
             if i in dem.servers[k]:
                 raise IllRoutedError(
                     f"next hop defined for designated server {i} of item {k}"
                 )
-            if (i, j) not in top.edge_index:
+            e = top.edge_index.get((i, j))
+            if e is None:
                 raise IllRoutedError(f"next hop ({i} -> {j}) is not a link")
+            hop[k, e] = forwards[k, i] = True
+        self._levels, acyclic = dag_levels(top, hop)
+        if not acyclic.all():
+            raise IllRoutedError(
+                f"next-hop cycle for item {int(np.argmin(acyclic))}"
+            )
+        self._hop = hop
+        # link of each next hop and the flat (item, node) indices of its ends
+        hop_k, self._hop_link = np.nonzero(hop)
+        self._hop_src = hop_k * V + top.src[self._hop_link]
+        self._hop_dst = hop_k * V + top.dst[self._hop_link]
+        self._servers = server_mask(top, dem)
+        reached = sweep_forward(self._levels, hop.astype(float), dem.rates) > 0
+        stranded = reached & ~forwards & ~self._servers
+        if stranded.any():
+            k, i = np.argwhere(stranded)[0]
+            raise IllRoutedError(f"no next hop at node {i} for item {k}")
+        self._baseline = None
 
-    def _walk(self, v, k):
-        path = [v]
-        seen = {v}
-        node = v
-        while node not in self.demand.servers[k]:
-            nxt = self.next_hop.get((node, k))
-            if nxt is None:
-                raise IllRoutedError(f"no next hop at node {node} for item {k}")
-            if nxt in seen:
-                raise IllRoutedError(
-                    f"routing cycle for item {k}: {path + [nxt]}"
-                )
-            path.append(nxt)
-            seen.add(nxt)
-            node = nxt
-        return tuple(path)
-
-    def _materialize_paths(self):
-        paths = {}
-        for k in range(self.demand.num_items):
-            for v in range(self.topology.num_nodes):
-                if self.demand.rates[k, v] > 0 and v not in self.demand.servers[k]:
-                    paths[(v, k)] = self._walk(v, k)
-        return paths
+    def _phi(self, y):
+        """Routing fractions pinned by y: phi = 1 - y on each next hop."""
+        return np.where(self._hop, 1.0 - y[:, self.topology.src], 0.0)
 
     # -- flow computation -------------------------------------------------
 
     def flows(self, y):
         """Per-link flows F, arrival rates t and occupancy Y under caching y.
 
-        Follows the product form: the rate surviving past node p^l on a path
-        is r_v * prod_{l' <= l} (1 - y(p^l')).
+        t is the forward sweep t = r + Phi^T t over the next-hop forest, the
+        product form: the rate surviving past node p^l on a path is
+        r_v * prod_{l' <= l} (1 - y(p^l')).
         """
-        top, dem = self.topology, self.demand
-        C, V = dem.num_items, top.num_nodes
+        top = self.topology
         y = np.asarray(y, dtype=float)
-        t = np.zeros((C, V))
-        F = np.zeros(top.num_links)
-        for (v, k), path in self.paths.items():
-            s = dem.rates[k, v]
-            t[k, v] += s
-            for l in range(len(path) - 1):
-                i, j = path[l], path[l + 1]
-                s = s * (1.0 - y[k, i])
-                if s <= PHI_EPS:
-                    break
-                F[top.edge_index[(j, i)]] += s  # response link (j, i)
-                t[k, j] += s
+        phi = self._phi(y)
+        t = sweep_forward(self._levels, phi, self.demand.rates)
+        # responses to requests over (i, j) return on link (j, i)
+        F = (t[:, top.dst] * phi[:, top.rev]).sum(axis=0)
         Y = np.clip(y, 0.0, None).sum(axis=0)
         return t, F, Y
+
+    def saved_cost(self, y, t, prices):
+        """t_i(k) * (p_ji + g_j(k)) at the next hop j of each (node, item),
+        0 where there is none: the routing cost that caching a unit at i
+        saves.
+
+        ``prices`` p is indexed by request link and prices its response
+        link; g is the reverse sweep g_i = (1 - y_i) (p_ij + g_j), so the
+        factor (1 - y) of every node past i discounts the path cost.
+        """
+        y = np.asarray(y, dtype=float)
+        g = sweep_reverse(self._levels, self._phi(y), prices,
+                          self.topology.num_nodes)
+        out = np.zeros(t.shape)
+        out.ravel()[self._hop_src] = t.ravel()[self._hop_src] * (
+            prices[self._hop_link] + g.ravel()[self._hop_dst]
+        )
+        return out
 
     def baseline_cost(self):
         """T(0): total routing cost with no cache deployed."""
@@ -109,18 +117,9 @@ class FixedRoutingInstance:
     def induced_strategy(self, y):
         """The (phi, y) strategy this instance pins: phi = 1 - y on the next
         hop, zero elsewhere."""
-        top, dem = self.topology, self.demand
-        strat = Strategy(top, dem.num_items)
-        strat.y = np.array(y, dtype=float)
-        for k in range(dem.num_items):
-            for i in range(top.num_nodes):
-                if i in dem.servers[k]:
-                    strat.y[k, i] = 0.0
-                    continue
-                j = self.next_hop.get((i, k))
-                if j is not None:
-                    strat.set_phi(i, j, k, 1.0 - strat.y[k, i])
-        return strat
+        y = np.array(y, dtype=float)
+        y[self._servers] = 0.0
+        return Strategy(self.topology, self.demand.num_items, self._phi(y), y)
 
 
 @dataclass
@@ -147,51 +146,16 @@ def grad_gain(instance, y):
     """Gradients (dA/dy, dB/dy), each shaped (num_items, num_nodes).
 
     dA/dy_z(k) = t_z(k) * sum over links (i,j) on z's path of
-    D'_ji(F_ji) * prod_{l'=2..l(i)} (1 - y(p^l')); evaluated by the reverse
-    recursion W_i = D'(first response link) + (1 - y_next) * W_next, so each
-    item costs one sweep over its next-hop forest.
+    D'_ji(F_ji) * prod_{l'=2..l(i)} (1 - y(p^l')): the instance's saved cost
+    at the prices D'(F), i.e. t_z(k) * (D'_jz + g_j) on the next hop j with g
+    from one reverse sweep over the next-hop forest.
     """
-    top, dem = instance.topology, instance.demand
-    C, V = dem.num_items, top.num_nodes
+    top = instance.topology
     y = np.asarray(y, dtype=float)
     t, F, Y = instance.flows(y)
-    Dp = instance.cost.link_deriv(F)
+    gradA = instance.saved_cost(y, t, instance.cost.link_deriv(F)[top.rev])
     Bp = instance.cost.cache_deriv(Y)
-
-    gradA = np.zeros((C, V))
-    for k in range(C):
-        W = np.full(V, np.nan)
-        for s in dem.servers[k]:
-            W[s] = 0.0
-
-        def w_of(i, k=k, W=W):
-            if not np.isnan(W[i]):
-                return W[i]
-            stack = [i]
-            while stack:
-                node = stack[-1]
-                if not np.isnan(W[node]):
-                    stack.pop()
-                    continue
-                j = instance.next_hop.get((node, k))
-                if j is None:
-                    # unreachable/unused node: no path, gradient stays 0
-                    W[node] = 0.0
-                    stack.pop()
-                    continue
-                if np.isnan(W[j]):
-                    stack.append(j)
-                    continue
-                e_resp = top.edge_index[(j, node)]
-                W[node] = Dp[e_resp] + (1.0 - y[k, j]) * W[j]
-                stack.pop()
-        for i in range(V):
-            if i in dem.servers[k]:
-                continue
-            if (i, k) in instance.next_hop:
-                w_of(i)
-                gradA[k, i] = t[k, i] * W[i]
-    gradB = np.broadcast_to(Bp, (C, V)).copy()
+    gradB = np.broadcast_to(Bp, gradA.shape).copy()
     return gradA, gradB
 
 
@@ -223,11 +187,6 @@ def gcfw(instance, N):
         )
     eps2 = float(N) ** (-2.0 / 3.0)
     C, V = dem.num_items, top.num_nodes
-    server_mask = np.zeros((C, V), dtype=bool)
-    for k in range(C):
-        for s in dem.servers[k]:
-            server_mask[k, s] = True
-
     y = np.zeros((C, V))
     best_y, best = y.copy(), eval_gain(instance, y)
     history = [best.G]
@@ -235,7 +194,7 @@ def gcfw(instance, N):
     for n in range(N):
         gA, gB = grad_gain(instance, y)
         s = ((gA - 2.0 * gB) > 0).astype(float)
-        s[server_mask] = 0.0
+        s[instance._servers] = 0.0
         y = (1.0 - eps2) * y + eps2 * s
         g = eval_gain(instance, y)
         history.append(g.G)

@@ -127,33 +127,115 @@ class FlowState:
     total_cost: float
 
 
+def dag_levels(topology, active):
+    """Level-ordered (item, link) pairs of every item's active subgraph.
+
+    ``active`` is a (num_items, num_links) bool mask.  Kahn's algorithm runs
+    on all items at once: level L holds the active links leaving the nodes
+    whose active in-links all lie in levels < L, so a node's out-links share
+    one level and keep ascending link order inside it.  Items whose active
+    subgraph has a cycle get ``acyclic[k] = False`` and contribute no pairs.
+
+    Returns (levels, acyclic).  Each level is a tuple of index arrays
+    (link, pair, src, dst): the link, the flat (item, link) index, and the
+    flat (item, node) indices of the link's endpoints.
+    """
+    C, E = active.shape
+    V = topology.num_nodes
+    k, e = np.nonzero(active)
+    src = k * V + topology.src[e]
+    dst = k * V + topology.dst[e]
+    indeg = np.bincount(dst, minlength=C * V)
+    groups = []
+    ready = indeg[src] == 0
+    while ready.any():
+        groups.append((k[ready], e[ready], src[ready], dst[ready]))
+        indeg -= np.bincount(dst[ready], minlength=C * V)
+        rest = ~ready
+        k, e, src, dst = k[rest], e[rest], src[rest], dst[rest]
+        ready = indeg[src] == 0
+    acyclic = np.ones(C, dtype=bool)
+    acyclic[k] = False  # links left over lie on or behind a cycle
+    levels = []
+    for gk, ge, gs, gd in groups:
+        keep = acyclic[gk]
+        levels.append((ge[keep], gk[keep] * E + ge[keep], gs[keep], gd[keep]))
+    return levels, acyclic
+
+
+def sweep_forward(levels, phi, r):
+    """Requests flow downstream: t = r + Phi^T t, one level at a time.
+
+    Rows of items without pairs in ``levels`` come back equal to r.
+    """
+    t = np.array(r, dtype=float).ravel()
+    w = phi.ravel()
+    for _, pair, src, dst in levels:
+        np.add.at(t, dst, w[pair] * t[src])
+    return t.reshape(np.shape(r))
+
+
+def sweep_reverse(levels, phi, c, num_nodes):
+    """Marginals flow upstream: g_i = sum_j phi_ij (c_ij + g_j), one level at
+    a time in reverse order, where ``c`` prices each link.
+
+    Every node sums its terms in ascending link order starting from 0, and
+    rows of items without pairs in ``levels`` come back 0.
+    """
+    g = np.zeros(phi.shape[0] * num_nodes)
+    w = phi.ravel()
+    for link, pair, src, dst in reversed(levels):
+        np.add.at(g, src, w[pair] * (c[link] + g[dst]))
+    return g.reshape(phi.shape[0], num_nodes)
+
+
+def solve_dense(topology, phi, rhs, transpose=False):
+    """Dense per-item solve of (I - Phi^T) x = rhs, or of (I - Phi) x = rhs
+    with ``transpose``.
+
+    The fallback of the sweeps for items whose routing has a cycle, and the
+    reference they are tested against.  A cycle whose routing-fraction
+    product reaches one makes the circulation divergent and raises
+    DivergentCirculationError.
+    """
+    C, V = rhs.shape
+    M = np.broadcast_to(np.eye(V), (C, V, V)).copy()
+    if transpose:
+        M[:, topology.src, topology.dst] -= phi
+    else:
+        M[:, topology.dst, topology.src] -= phi  # Phi^T[dst, src] = phi[src -> dst]
+    try:
+        x = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        raise DivergentCirculationError(
+            "flow system is singular (routing cycle with unit fraction product)"
+        ) from None
+    residual = np.abs(np.einsum("kij,kj->ki", M, x) - rhs).max()
+    scale = max(1.0, np.abs(rhs).max(), np.abs(x).max())
+    if not np.isfinite(x).all() or residual > 1e-7 * scale:
+        conds = [float(np.linalg.cond(M[k])) for k in range(C)]
+        raise DivergentCirculationError(
+            f"flow system near-singular (worst condition number {max(conds):.3g})"
+        )
+    return x
+
+
 def solve_traffic(topology, demand, strategy, cost):
     """Solve t = r + Phi^T t per item and populate flows and costs.
 
-    Uses a direct dense solve, so loopy strategies are supported as long as
-    the system is nonsingular.  A cycle whose routing-fraction product reaches
+    Items whose routing (the links with phi != 0) is acyclic are solved by
+    one forward sweep over its levels; items with a routing cycle fall back
+    to the dense solve, so loopy strategies are supported as long as the
+    system is nonsingular.  A cycle whose routing-fraction product reaches
     one makes the circulation divergent and raises DivergentCirculationError.
     """
-    V, E = topology.num_nodes, topology.num_links
-    C = demand.num_items
     phi = strategy.phi
-    # M[k] = I - Phi^T ; Phi^T[dst, src] = phi[src -> dst]
-    M = np.broadcast_to(np.eye(V), (C, V, V)).copy()
-    M[:, topology.dst, topology.src] -= phi
     r = demand.rates
-    try:
-        t = np.linalg.solve(M, r[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        raise DivergentCirculationError(
-            "traffic system is singular (routing cycle with unit fraction product)"
-        ) from None
-    residual = np.abs(np.einsum("kij,kj->ki", M, t) - r).max()
-    scale = max(1.0, np.abs(r).max(), np.abs(t).max() if t.size else 1.0)
-    if not np.isfinite(t).all() or residual > 1e-7 * scale:
-        conds = [float(np.linalg.cond(M[k])) for k in range(C)]
-        raise DivergentCirculationError(
-            f"traffic system near-singular (worst condition number {max(conds):.3g})"
-        )
+    levels, acyclic = dag_levels(topology, phi != 0)
+    t = sweep_forward(levels, phi, r)
+    cyclic = ~acyclic
+    if cyclic.any():
+        t[cyclic] = solve_dense(topology, phi[cyclic], r[cyclic])
     t = np.where(np.abs(t) < T_ZERO, 0.0, t)
     if (t < 0).any():
         raise DivergentCirculationError("traffic solve produced negative rates")
@@ -169,9 +251,3 @@ def solve_traffic(topology, demand, strategy, cost):
         link_cost=link_cost, cache_cost=cache_cost,
         total_cost=link_cost + cache_cost,
     )
-
-
-def total_cost(flow_state, cost):
-    """Sum of link routing costs and cache deployment costs, Eq.-style
-    T = sum_ij D_ij(F_ij) + sum_i B_i(Y_i)."""
-    return float(cost.link_cost(flow_state.F).sum() + cost.cache_cost(flow_state.Y).sum())

@@ -23,7 +23,6 @@ from .marginals import (
     PHI_ACTIVE,
     compute_marginals,
     server_mask,
-    topological_order,
     vectorized_residuals,
 )
 
@@ -248,21 +247,6 @@ def sp_next_hops(topology, demand, cost):
     return nh
 
 
-def _positive_phi_acyclic(topology, demand, strategy):
-    for k in range(demand.num_items):
-
-        def active_out(i, k=k):
-            return [
-                topology.dst[e]
-                for e in topology.out_edges[i]
-                if strategy.phi[k, e] > PHI_ACTIVE
-            ]
-
-        if topological_order(topology, active_out) is None:
-            return False
-    return True
-
-
 def count_async_messages(topology, demand, strategy, blocked, node):
     """Broadcast messages needed for a single-node update.
 
@@ -304,9 +288,11 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
     """Iterate gradient-projection periods until the restricted modified
     condition holds or the period budget runs out.
 
-    Per period: (re)compute blocked sets, solve traffic, compute marginals
-    by the acyclic reverse traversal, apply node updates per the schedule,
-    and record cost / residual / broadcast-message counts.
+    Per period: (re)compute blocked sets, solve traffic by a forward sweep
+    and the marginals by a reverse sweep over each item's positive-phi DAG,
+    apply node updates per the schedule, and record cost / residual /
+    broadcast-message counts.  A routing loop (an item without such a DAG)
+    raises.
     """
     config = config or GPConfig()
     zero_b = cost.cache.deriv_is_zero()
@@ -345,8 +331,8 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
             topology, demand, strategy, flow, marg, blocked, servers
         )
         worst = float(pair_resid.max()) if pair_resid.size else 0.0
-        # the marginal computation already toposorted each item's
-        # positive-phi subgraph; reuse that for the loop-freeness check
+        # the marginal computation already leveled each item's positive-phi
+        # subgraph; reuse its acyclic flags for the loop-freeness check
         loop_free = bool(marg.acyclic.all()) if config.check_loops else True
         if initial_cost is None:
             initial_cost = flow.total_cost

@@ -13,46 +13,13 @@ when t_i(k) = 0), and their minimum delta_i(k).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentCirculationError
-from .flow import T_ZERO, solve_traffic
+from .flow import T_ZERO, dag_levels, solve_dense, solve_traffic, sweep_reverse
 
 PHI_ACTIVE = 1e-12  # routing fractions above this count as active directions
-
-
-def topological_order(topology, active_out, num_nodes=None):
-    """Deterministic topological order of the positive-edge subgraph.
-
-    active_out[i] yields the active out-neighbors of i.  Nodes touching at
-    least one active edge are Kahn-sorted (lowest id first among ready
-    nodes); nodes with no active incidence are appended in id order.
-    Returns None if the subgraph has a cycle.
-    """
-    n = topology.num_nodes if num_nodes is None else num_nodes
-    indeg = [0] * n
-    incident = [False] * n
-    for i in range(n):
-        for j in active_out(i):
-            indeg[j] += 1
-            incident[i] = incident[j] = True
-    ready = [i for i in range(n) if incident[i] and indeg[i] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in active_out(i):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
-    if len(order) != sum(incident):
-        return None  # cycle among incident nodes
-    order.extend(i for i in range(n) if not incident[i])
-    return order
 
 
 @dataclass
@@ -65,7 +32,7 @@ class MarginalState:
     delta_min[k, i]  : delta_i(k), min over the cache direction and the
                        (unblocked) neighbors
     acyclic[k]       : whether item k's positive-phi subgraph was acyclic
-                       (reverse-traversal path) or needed the dense solve
+                       (reverse sweep) or needed the dense solve
     """
 
     dTdr: np.ndarray
@@ -77,92 +44,31 @@ class MarginalState:
     acyclic: np.ndarray = None
 
 
-def positive_topological_order(topology, phi_row, active=PHI_ACTIVE):
-    """Topological order of the positive-phi subgraph, or None on a cycle.
-
-    Valid-order-only variant used for the marginal traversal: the order
-    among independent nodes is arbitrary (it does not affect the recursion
-    values); nodes with no positive incidence are appended at the end.
-    """
-    V = topology.num_nodes
-    src, dst = topology.src, topology.dst
-    act = phi_row > active
-    act_dst = dst[act]
-    indeg = np.bincount(act_dst, minlength=V)
-    incident = np.zeros(V, dtype=bool)
-    incident[act_dst] = True
-    incident[src[act]] = True
-    out_edges = topology.out_edges
-    stack = [i for i in range(V) if incident[i] and indeg[i] == 0]
-    order = []
-    n_incident = int(incident.sum())
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        for e in out_edges[i]:
-            if act[e]:
-                j = dst[e]
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    stack.append(j)
-    if len(order) != n_incident:
-        return None
-    order.extend(int(i) for i in np.nonzero(~incident)[0])
-    return order
-
-
-def _solve_dtdr_dense(topology, phi_k, c_k):
-    V = topology.num_nodes
-    M = np.eye(V)
-    M[topology.src, topology.dst] -= phi_k  # (I - Phi), Phi[i, j] = phi_ij
-    try:
-        g = np.linalg.solve(M, c_k)
-    except np.linalg.LinAlgError:
-        raise DivergentCirculationError(
-            "marginal system singular (divergent circulation)"
-        ) from None
-    if not np.isfinite(g).all():
-        raise DivergentCirculationError("marginal system near-singular")
-    return g
-
-
 def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     """Compute dT/dr and the delta marginals for every (node, item).
 
-    Per item the recursion is evaluated by reverse traversal of the
-    positive-phi subgraph when it is acyclic (the broadcast order used by
-    the online algorithm), falling back to a dense linear solve otherwise.
-    When ``blocked`` is given, delta_min minimizes only over unblocked
-    neighbors.
+    The recursion runs over the links with phi > PHI_ACTIVE.  Items whose
+    active subgraph is acyclic are evaluated by one reverse sweep over its
+    levels (the broadcast order used by the online algorithm: each node
+    sums phi * (D' + dT/dr) over its out-links in link order); items with a
+    cycle fall back to the transposed dense solve.  When ``blocked`` is
+    given, delta_min minimizes only over unblocked neighbors.
     """
-    V, E, C = topology.num_nodes, topology.num_links, demand.num_items
+    V, C = topology.num_nodes, demand.num_items
     phi = strategy.phi
     Dp = cost.link_deriv(flow.F)          # D'_ij(F_ij) per link
     Bp = cost.cache_deriv(flow.Y)         # B'_i(Y_i) per node
     # cost of forwarding over edge e=(i,j): response returns on rev(e)
     resp_deriv = Dp[topology.rev]
 
-    dTdr = np.zeros((C, V))
-    acyclic = np.ones(C, dtype=bool)
-    out = topology.out_edges
-    dst = topology.dst
-    for k in range(C):
-        phi_k = phi[k]
-        order = positive_topological_order(topology, phi_k)
-        if order is not None:
-            g = dTdr[k]
-            for i in reversed(order):
-                acc = 0.0
-                for e in out[i]:
-                    p = phi_k[e]
-                    if p > PHI_ACTIVE:
-                        acc += p * (resp_deriv[e] + g[dst[e]])
-                g[i] = acc
-        else:
-            acyclic[k] = False
-            c_k = np.zeros(V)
-            np.add.at(c_k, topology.src, phi_k * resp_deriv)
-            dTdr[k] = _solve_dtdr_dense(topology, phi_k, c_k)
+    levels, acyclic = dag_levels(topology, phi > PHI_ACTIVE)
+    dTdr = sweep_reverse(levels, phi, resp_deriv, V)
+    cyclic = ~acyclic
+    if cyclic.any():
+        phi_c = phi[cyclic]
+        c = np.zeros((V, len(phi_c)))
+        np.add.at(c, topology.src, (phi_c * resp_deriv).T)
+        dTdr[cyclic] = solve_dense(topology, phi_c, c.T, transpose=True)
 
     delta_link = resp_deriv[None, :] + dTdr[:, topology.dst]
     with np.errstate(divide="ignore"):

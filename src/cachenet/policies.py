@@ -409,33 +409,23 @@ def flow_costgreedy(scenario, max_steps=None):
 
     Miss costs are exact expectations: each request stream accumulates, at
     every node it passes uncached, the response-path cost from its serving
-    point back to that node.
+    point back to that node.  That is the fixed-routing saved cost over the
+    shortest-path next hops at zero-flow prices, zero at cached nodes and
+    servers.
     """
     top, dem, cost = scenario.topology, scenario.demand, scenario.cost
-    nh = sp_next_hops(top, dem, cost)
-    d = cost.link_deriv(np.zeros(top.num_links))
+    inst = FixedRoutingInstance(top, dem, cost, sp_next_hops(top, dem, cost))
+    prices = cost.link_deriv(np.zeros(top.num_links))[top.rev]
     cache_sets = [set() for _ in range(top.num_nodes)]
     max_steps = max_steps or top.num_nodes * dem.num_items
 
     def evaluate():
-        strat = sp_binary_strategy(top, dem, cost, cache_sets, nh)
-        fs = solve_traffic(top, dem, strat, cost)
-        miss = np.zeros((dem.num_items, top.num_nodes))
-        for k in range(dem.num_items):
-            for v in range(top.num_nodes):
-                r = dem.rates[k, v]
-                if r <= 0 or v in dem.servers[k] or k in cache_sets[v]:
-                    continue
-                path = [v]
-                node = v
-                while node not in dem.servers[k] and k not in cache_sets[node]:
-                    node = nh[(node, k)]
-                    path.append(node)
-                cum = 0.0
-                for p in range(len(path) - 1, 0, -1):
-                    cum += d[top.edge_index[(path[p], path[p - 1])]]
-                    miss[k, path[p - 1]] += r * cum
-        return fs.total_cost, miss
+        y = np.zeros((dem.num_items, top.num_nodes))
+        for i, items in enumerate(cache_sets):
+            y[list(items), i] = 1.0
+        t, F, Y = inst.flows(y)
+        total = float(cost.link_cost(F).sum()) + float(cost.cache_cost(Y).sum())
+        return total, inst.saved_cost(y, t, prices) * (1.0 - y)
 
     best_cost, miss = evaluate()
     best_sets = [set(s) for s in cache_sets]

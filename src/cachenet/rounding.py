@@ -40,11 +40,6 @@ class BarMap:
                     break
         return out
 
-    def size_bounds(self):
-        import math
-
-        return math.floor(self.total), math.ceil(self.total)
-
 
 def build_bar_map(y):
     """Lay out bars of length y[k] in ascending item order.

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cachenet.fixedroute import FixedRoutingInstance, eval_gain, gcfw, grad_gain
-from cachenet.flow import Strategy, solve_traffic, total_cost
+from cachenet.flow import Strategy, solve_traffic
 from cachenet.gp import GPConfig, run_gp, sp_next_hops
 from cachenet.marginals import check_modified_condition, compute_marginals
 from cachenet.network import CostModel, Demand, Topology, linear_cache_costs
@@ -63,8 +63,8 @@ def ascending_fixed_instance(rng, max_nodes=6, max_items=3):
 class TestCriterion1:
     def test_appendix_loop_fixture(self):
         top, dem, cost, loop, loop_free, caps = appendix_loop_fixture()
-        t_loop = total_cost(solve_traffic(top, dem, loop, cost), cost)
-        t_free = total_cost(solve_traffic(top, dem, loop_free, cost), cost)
+        t_loop = solve_traffic(top, dem, loop, cost).total_cost
+        t_free = solve_traffic(top, dem, loop_free, cost).total_cost
         cond = check_modified_condition(
             top, dem, loop, cost, tol=1e-9, cache_caps=caps
         )

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from cachenet.blocking import dynamic_blocked_sets, static_blocked_sets
+from cachenet.blocking import (
+    dynamic_blocked_sets,
+    static_blocked_sets,
+    topological_order,
+)
 from cachenet.errors import DisconnectedDemandError, LoopError
 from cachenet.flow import Strategy
-from cachenet.marginals import topological_order
 from cachenet.network import Demand, Topology
 
 from helpers import line_topology, symmetric_costs

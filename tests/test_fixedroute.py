@@ -65,8 +65,16 @@ def min_cost_gain(instances, y):
 
 class TestInstance:
     def test_chain_path_materialized(self):
+        # the unit request at 0 arrives at 1, 2 and 3 and crosses only the
+        # response links of the chain 0 -> 1 -> 2 -> 3
         inst = diamond_a()
-        assert inst.paths[(0, 0)] == (0, 1, 2, 3)
+        t, F, _ = inst.flows(y_of(inst))
+        assert t.tolist() == [[1.0, 1.0, 1.0, 1.0]]
+        top = inst.topology
+        on_path = [top.edge_index[(j, i)] for i, j in ((0, 1), (1, 2), (2, 3))]
+        expect = np.zeros(top.num_links)
+        expect[on_path] = 1.0
+        assert F.tolist() == expect.tolist()
 
     def test_two_cycle_rejected(self):
         top = line_topology(3)
@@ -76,6 +84,16 @@ class TestInstance:
         )
         with pytest.raises(IllRoutedError):
             FixedRoutingInstance(top, dem, cost, {(0, 0): 1, (1, 0): 0})
+
+    def test_cycle_without_demand_rejected(self):
+        # no request enters the 0 <-> 1 cycle; it is still not a forest
+        top = line_topology(4)
+        dem = Demand(1, [{3}], np.array([[0.0, 0.0, 1.0, 0.0]]))
+        cost = symmetric_costs(
+            top, {frozenset((i, i + 1)): 1.0 for i in range(3)}, [0.0] * 4
+        )
+        with pytest.raises(IllRoutedError):
+            FixedRoutingInstance(top, dem, cost, {(0, 0): 1, (1, 0): 0, (2, 0): 3})
 
     def test_server_next_hop_rejected(self):
         inst_args = diamond_a()

@@ -8,7 +8,7 @@ from cachenet.errors import (
     DivergentCirculationError,
     StructuralError,
 )
-from cachenet.flow import Strategy, solve_traffic, total_cost, validate_strategy
+from cachenet.flow import Strategy, solve_traffic, validate_strategy
 from cachenet.network import (
     CostModel,
     Demand,
@@ -160,11 +160,11 @@ class TestTotalCost:
         s = Strategy.from_dicts(top, 1, phi={(0, 1, 0): 1.0, (1, 2, 0): 1.0})
         dem0 = Demand(1, [{2}], np.zeros((1, 3)))
         fs = solve_traffic(top, dem0, s, cost)
-        assert total_cost(fs, cost) == 0.0
+        assert fs.total_cost == 0.0
 
     def test_appendix_loop_totals(self):
         top, dem, cost, loop, loop_free, _ = appendix_loop_fixture()
         fs_loop = solve_traffic(top, dem, loop, cost)
         fs_free = solve_traffic(top, dem, loop_free, cost)
-        assert total_cost(fs_loop, cost) == pytest.approx(3.0, abs=1e-9)
-        assert total_cost(fs_free, cost) == pytest.approx(3.5, abs=1e-9)
+        assert fs_loop.total_cost == pytest.approx(3.0, abs=1e-9)
+        assert fs_free.total_cost == pytest.approx(3.5, abs=1e-9)

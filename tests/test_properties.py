@@ -5,11 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
-from cachenet.flow import Strategy, solve_traffic
+from cachenet.flow import Strategy, dag_levels, solve_dense, solve_traffic
 from cachenet.gp import GPConfig, message_counts, run_gp
+from cachenet.marginals import compute_marginals
 from cachenet.network import Demand, Topology
+from cachenet.scenarios import TABLE_PRESETS, generate_scenario
 
-from helpers import line_topology, random_loopfree_instance, symmetric_costs
+from helpers import (
+    appendix_loop_fixture,
+    line_topology,
+    random_loopfree_instance,
+    symmetric_costs,
+)
 
 
 class TestUniformCacheScaling:
@@ -123,3 +130,52 @@ class TestMessageCounts:
         traj = run_gp(top, dem, cost, GPConfig(max_periods=4, tol=1e-15))
         counts = message_counts(traj)
         assert counts == [4] * len(traj.records)  # |C| * |E| = 1 * 4
+
+
+class TestSweepMatchesDense:
+    """The level sweeps solve the same triangular systems as the dense
+    solve, which stays the reference and the fallback for cyclic items."""
+
+    @staticmethod
+    def _close(got, ref, tol=1e-12):
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.abs(got - ref).max() <= tol * scale
+
+    def _check(self, top, dem, cost, strat):
+        phi = strat.phi
+        fs = solve_traffic(top, dem, strat, cost)
+        t_ref = solve_dense(top, phi, dem.rates)
+        self._close(fs.t, t_ref)
+        self._close(fs.F, (t_ref[:, top.dst] * phi[:, top.rev]).sum(axis=0))
+
+        marg = compute_marginals(top, dem, strat, fs, cost)
+        assert marg.acyclic.all()
+        resp = marg.link_deriv[top.rev]
+        c = np.zeros((top.num_nodes, dem.num_items))
+        np.add.at(c, top.src, (phi * resp).T)
+        self._close(marg.dTdr, solve_dense(top, phi, c.T, transpose=True))
+
+    def test_random_loopfree_instances(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            self._check(*random_loopfree_instance(rng, max_nodes=8))
+
+    def test_mid_run_gp_strategies_on_grid25(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        for mode in ("static", "dynamic"):
+            for periods in (1, 15, 40):
+                traj = run_gp(top, dem, cost, GPConfig(
+                    alpha=0.05, max_periods=periods, tol=1e-12,
+                    blocked_mode=mode,
+                ))
+                self._check(top, dem, cost, traj.strategy)
+
+    def test_loop_fixture_takes_dense_path(self):
+        top, dem, cost, loop, _, _ = appendix_loop_fixture()
+        _, acyclic = dag_levels(top, loop.phi != 0)
+        assert acyclic.tolist() == [False]
+        fs = solve_traffic(top, dem, loop, cost)
+        assert np.array_equal(fs.t, solve_dense(top, loop.phi, dem.rates))
+        marg = compute_marginals(top, dem, loop, fs, cost)
+        assert marg.acyclic.tolist() == [False]
