@@ -25,7 +25,7 @@ from .blocking import BlockedSets, dynamic_blocked_sets, static_blocked_sets
 from .gp import (
     GPConfig,
     GPTrajectory,
-    gp_update_node,
+    gp_step,
     message_counts,
     run_gp,
     shortest_path_strategy,
@@ -69,7 +69,7 @@ __all__ = [
     "eval_gain",
     "gcfw",
     "generate_scenario",
-    "gp_update_node",
+    "gp_step",
     "grad_gain",
     "linear_cache_costs",
     "linear_link_costs",

@@ -12,7 +12,7 @@ this is the conservation-preserving reading of the update rule.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,11 @@ from .marginals import (
 )
 
 
+# a period whose cost exceeds this multiple of the first period's cost
+# stops the run as diverged (stepsize too large)
+DIVERGENCE_FACTOR = 1e3
+
+
 @dataclass
 class GPConfig:
     alpha: float = 0.01
@@ -35,12 +40,12 @@ class GPConfig:
     schedule: str = "synchronous"     # synchronous | round-robin | random
     blocked_mode: str = "static"      # static | dynamic
     seed: int = 0                     # for the random asynchronous schedule
-    divergence_factor: float = 1e3
-    check_loops: bool = True
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ConfigurationError("stepsize alpha must be positive")
+        if self.max_periods < 1:
+            raise ConfigurationError("max_periods must be at least 1")
         if self.tol <= 0:
             raise ConfigurationError("convergence tolerance must be positive")
         if self.schedule not in ("synchronous", "round-robin", "random"):
@@ -49,132 +54,96 @@ class GPConfig:
             raise ConfigurationError(f"unknown blocked mode {self.blocked_mode!r}")
 
 
-@dataclass
-class ItemUpdate:
-    """Per-(node, item) update bookkeeping (excesses and applied deltas)."""
+def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):
+    """Update the (item, node) pairs selected by the bool (C, V) mask
+    ``pairs`` in place, all from the current marginals.
 
-    item: int
-    e_route: dict            # edge -> excess marginal e_ij
-    e_cache: float           # excess of the caching direction
-    receivers: int           # N_i(k)
-    moved: float             # S_i(k), total removed (positive) mass
-    delta_phi: dict          # edge -> applied change
-    delta_y: float
-
-
-@dataclass
-class UpdateReport:
-    node: int
-    items: list = field(default_factory=list)
-    post_cost: float = float("nan")
-
-    def conservation_error(self):
-        worst = 0.0
-        for it in self.items:
-            worst = max(worst, abs(sum(it.delta_phi.values()) + it.delta_y))
-        return worst
-
-
-def gp_update_node(node, topology, demand, strategy, flow, marg, blocked, alpha,
-                   items=None, cost=None):
-    """Compute node's strategy update from the current marginals.
-
-    Items with t > 0 transfer fractions toward minimum-marginal directions;
-    items with t = 0 zero their caching fraction and park all routing mass
-    on the delta-minimal unblocked neighbor.  ``items`` restricts the update
-    to a subset of the catalog (pairs already at their per-pair fixed point
-    can be skipped).  When a cost model is passed, the post-update total
-    cost is evaluated into the report.
+    A pair with t > 0 moves min(phi, alpha * e) off each unblocked direction
+    whose excess e = delta - delta_i(k) is positive (likewise y off the
+    cache), drops all blocked mass, and shares the removed mass equally
+    among the directions with e == 0, the cache included iff it attains
+    the minimum.  A pair with t = 0 zeroes y and parks all mass on the
+    unblocked hop of least delta, ties to the lowest neighbor id.  Servers
+    and pairs without an unblocked out-link are left alone.  Each node sums
+    its removed mass over its out-links in link order, then the cache.
     """
-    report = UpdateReport(node=node)
-    i = node
-    item_range = range(demand.num_items) if items is None else items
-    for k in item_range:
-        if i in demand.servers[k]:
-            continue
-        out = topology.out_edges[i]
-        unblocked = [e for e in out if not blocked.mask[k, e]]
-        if not unblocked:
-            continue
-        ti = flow.t[k, i]
-        y = strategy.y[k, i]
+    src, dst = topology.src, topology.dst
+    phi, y = strategy.phi, strategy.y
+    C, V = y.shape
+    unblocked = ~blocked.mask
+    pair_of = (np.arange(C)[:, None] * V + src).ravel()   # flat (k, src(e))
+    # The step's (C, E) float arrays are three views of one block, filled
+    # in place.  As separate temporaries they made glibc grow and trim the
+    # heap on every step and fault its pages back in, here and in the code
+    # run next; freeing one block of this size raises glibc's trim
+    # threshold above that churn.
+    work, at_src, as_float = np.empty((3,) + phi.shape)
 
-        if ti <= T_ZERO:
-            # no traffic: condition forces y = 0; park mass on the best hop
-            best = min(unblocked, key=lambda e: (marg.delta_link[k, e],
-                                                 topology.dst[e]))
-            dphi = {}
-            moved = 0.0
-            for e in out:
-                cur = strategy.phi[k, e]
-                if e != best and cur > 0.0:
-                    dphi[e] = -cur
-                    moved += cur
-            if y > 0.0:
-                moved += y
-            if moved > 0.0:
-                dphi[best] = dphi.get(best, 0.0) + moved
-                report.items.append(ItemUpdate(
-                    item=k, e_route={}, e_cache=0.0, receivers=1,
-                    moved=moved, delta_phi=dphi, delta_y=-y,
-                ))
-            continue
+    def gather(node_vals):
+        """(C, E) copy of (C, V) values at each link's source node
+        (mode="clip" lets take write straight into the buffer)."""
+        return np.take(node_vals, src, axis=1, out=at_src, mode="clip")
 
-        delta_vals = {e: marg.delta_link[k, e] for e in unblocked}
-        d_cache = marg.delta_cache[k, i]
-        d_min = min(min(delta_vals.values()), d_cache)
-        e_route = {e: dv - d_min for e, dv in delta_vals.items()}
-        e_cache = d_cache - d_min
+    def per_node(edge_vals, ufunc=np.add, start=0.0):
+        """(C, V) fold of (C, E) values over each node's out-links, in
+        link order."""
+        if edge_vals.dtype != float:
+            np.copyto(as_float, edge_vals)
+            edge_vals = as_float
+        out = np.full(C * V, start, dtype=float)
+        ufunc.at(out, pair_of, edge_vals.ravel())
+        return out.reshape(C, V)
 
-        receivers = [e for e, ex in e_route.items() if ex == 0.0]
-        n = len(receivers) + (1 if e_cache == 0.0 else 0)
-        if n == 0:
-            raise CacheNetError(
-                f"no minimum-marginal direction at node {i}, item {k}"
-            )
-        moved = 0.0
-        dphi = {}
-        for e in out:
-            cur = strategy.phi[k, e]
-            if blocked.mask[k, e]:
-                if cur > 0.0:
-                    dphi[e] = -cur
-                    moved += cur
-            elif e_route.get(e, 0.0) > 0.0 and cur > 0.0:
-                step = min(cur, alpha * e_route[e])
-                dphi[e] = -step
-                moved += step
-        dy = 0.0
-        if e_cache > 0.0 and y > 0.0:
-            # t > 0 here, so e_cache is finite
-            dy = -min(y, alpha * e_cache)
-            moved += -dy
+    pairs = pairs & ~server_mask(topology, demand) & (per_node(unblocked) > 0)
+    idle = pairs & (flow.t <= T_ZERO)
+    busy = pairs & ~idle
+    idle_e, busy_e = idle[:, src], busy[:, src]
 
-        if moved > 0.0:
-            share = moved / n
-            for e in receivers:
-                dphi[e] = dphi.get(e, 0.0) + share
-            if e_cache == 0.0:
-                dy += share
-        if dphi or dy:
-            report.items.append(ItemUpdate(
-                item=k, e_route=e_route, e_cache=e_cache, receivers=n,
-                moved=moved, delta_phi=dphi, delta_y=dy,
-            ))
-    if cost is not None:
-        trial = strategy.copy()
-        apply_update(trial, report)
-        report.post_cost = solve_traffic(topology, demand, trial, cost).total_cost
-    return report
+    with np.errstate(invalid="ignore"):   # inf - inf where delta_min is inf
+        excess = np.subtract(marg.delta_link, gather(marg.delta_min), out=work)
+        e_cache = marg.delta_cache - marg.delta_min
+    receivers = busy_e & unblocked & (excess == 0.0)
+    cache_receives = busy & (e_cache == 0.0)
+    n = per_node(receivers) + cache_receives
+    stuck = busy & (n == 0)          # only where delta_min is inf or NaN
+    if stuck.any():
+        i, k = np.argwhere(stuck.T)[0]
+        raise CacheNetError(f"no minimum-marginal direction at node {i}, item {k}")
+    y_step = np.where((e_cache > 0.0) & (y > 0.0), np.minimum(y, alpha * e_cache), 0.0)
 
+    # Mass each link gives up: min(phi, alpha * e) where e > 0 and all
+    # blocked mass at a busy pair, all mass off the best hop at an idle pair.
+    shed = busy_e & unblocked & (excess > 0.0) & (phi > 0.0)
+    removed = np.minimum(phi, np.multiply(excess, alpha, out=work), out=work)
+    removed[~shed] = 0.0
+    np.copyto(removed, phi, where=busy_e & blocked.mask)
+    if idle.any():
+        # best unblocked hop: least delta, then lowest neighbor id
+        np.copyto(as_float, marg.delta_link)
+        as_float[blocked.mask] = np.inf
+        least = per_node(as_float, np.minimum, np.inf)
+        cand = unblocked & (marg.delta_link == gather(least))
+        np.copyto(as_float, dst)
+        as_float[~cand] = V
+        best = cand & (dst == gather(per_node(as_float, np.minimum, V)))
+        np.copyto(removed, phi, where=idle_e & ~best)
+    else:
+        best = np.zeros_like(unblocked)
+    y_removed = np.where(idle, y, np.where(busy, y_step, 0.0))
+    moved = per_node(removed) + y_removed
+    share = np.where(idle, moved, moved / np.maximum(n, 1))
 
-def apply_update(strategy, report):
-    for it in report.items:
-        for e, d in it.delta_phi.items():
-            strategy.phi[it.item, e] = min(1.0, max(0.0, strategy.phi[it.item, e] + d))
-        strategy.y[it.item, report.node] = min(
-            1.0, max(0.0, strategy.y[it.item, report.node] + it.delta_y)
-        )
+    gains = np.where(idle_e, best, receivers) & (moved > 0.0)[:, src]
+    changed = gains | (removed > 0.0)
+    new_phi = np.negative(removed, out=work)
+    np.copyto(new_phi, gather(share), where=gains)
+    new_phi += phi
+    np.minimum(1.0, np.maximum(0.0, new_phi, out=new_phi), out=new_phi)
+    np.copyto(phi, new_phi, where=changed)
+    y_gains = cache_receives & (moved > 0.0)
+    d_y = np.where(y_gains, share, -y_removed)
+    np.copyto(y, np.minimum(1.0, np.maximum(0.0, y + d_y)),
+              where=y_gains | (y_removed > 0.0))
 
 
 @dataclass
@@ -290,7 +259,9 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
 
     Per period: (re)compute blocked sets, solve traffic by a forward sweep
     and the marginals by a reverse sweep over each item's positive-phi DAG,
-    apply node updates per the schedule, and record cost / residual /
+    apply one ``gp_step`` to the pairs the schedule selects (every pair
+    with a positive residual, or all items at one node), and record cost /
+    residual /
     broadcast-message counts.  A routing loop (an item without such a DAG)
     raises.
     """
@@ -327,28 +298,27 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
         )
         flow = solve_traffic(topology, demand, strategy, cost)
         marg = compute_marginals(topology, demand, strategy, flow, cost, blocked)
-        pair_resid, _ = vectorized_residuals(
+        pair_resid, _, _ = vectorized_residuals(
             topology, demand, strategy, flow, marg, blocked, servers
         )
         worst = float(pair_resid.max()) if pair_resid.size else 0.0
         # the marginal computation already leveled each item's positive-phi
         # subgraph; reuse its acyclic flags for the loop-freeness check
-        loop_free = bool(marg.acyclic.all()) if config.check_loops else True
+        loop_free = bool(marg.acyclic.all())
         if initial_cost is None:
             initial_cost = flow.total_cost
 
         if config.schedule == "synchronous":
             messages = sync_messages
-        elif config.schedule == "round-robin":
-            node = period % V
-            messages = count_async_messages(
-                topology, demand, strategy, blocked, node
-            )
+            pairs = pair_resid > 0.0
         else:
-            node = int(rng.integers(V))
+            node = (period % V if config.schedule == "round-robin"
+                    else int(rng.integers(V)))
             messages = count_async_messages(
                 topology, demand, strategy, blocked, node
             )
+            pairs = np.zeros_like(pair_resid, dtype=bool)
+            pairs[:, node] = True
 
         records.append(PeriodRecord(
             period=period,
@@ -361,7 +331,7 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
         ))
         if not loop_free:
             raise CacheNetError(f"routing loop appeared at period {period}")
-        if flow.total_cost > config.divergence_factor * max(initial_cost, 1e-12):
+        if flow.total_cost > DIVERGENCE_FACTOR * max(initial_cost, 1e-12):
             raise CacheNetError(
                 f"total cost diverged at period {period}: stepsize too large"
             )
@@ -369,21 +339,8 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
             converged = True
             break
 
-        if config.schedule == "synchronous":
-            reports = [
-                gp_update_node(
-                    i, topology, demand, strategy, flow, marg, blocked,
-                    config.alpha,
-                    items=np.nonzero(pair_resid[:, i] > 0.0)[0],
-                )
-                for i in range(V)
-            ]
-            for rep in reports:
-                apply_update(strategy, rep)
-        else:
-            rep = gp_update_node(node, topology, demand, strategy, flow, marg,
-                                 blocked, config.alpha)
-            apply_update(strategy, rep)
+        gp_step(topology, demand, strategy, flow, marg, blocked, config.alpha,
+                pairs)
     return GPTrajectory(
         records=records, strategy=strategy, converged=converged, blocked=blocked
     )

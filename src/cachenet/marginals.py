@@ -164,55 +164,77 @@ def server_mask(topology, demand):
 
 
 def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
-                         servers=None):
-    """All modified-condition residual arrays at once (no cap support).
+                         servers=None, cache_caps=None):
+    """All modified-condition residual arrays at once.
 
-    Returns (pair_resid, parts) where pair_resid[k, i] is the worst residual
-    attributable to node i's item-k conditions and parts is a dict of the
-    raw per-edge / per-pair arrays used to itemize violations.
+    Returns (pair_resid, parts, delta) where pair_resid[k, i] is the worst
+    residual attributable to node i's item-k conditions, parts is a dict of
+    the raw per-edge / per-pair arrays used to itemize violations, and delta
+    the minimum each pair's conditions are measured against.
+    ``cache_caps`` maps (i, k) to an upper bound on y_i(k) (evaluation
+    fixtures): a pair at its cap excludes the cache from its minimum (delta
+    is the least unblocked link marginal, and a capped pair without an
+    unblocked link has no condition) and only requires B' <= t * delta.
     """
     C, V = demand.num_items, topology.num_nodes
     src = topology.src
     phi, y, t = strategy.phi, strategy.y, flow.t
     if servers is None:
         servers = server_mask(topology, demand)
-    nonserver_e = ~servers[:, src]
     blocked_mask = blocked.mask if blocked is not None else None
     unblocked = (
         np.ones_like(phi, dtype=bool) if blocked_mask is None else ~blocked_mask
     )
+    conds = ~servers                      # pairs that carry conditions
+    delta = marg.delta_min
+    capped = np.zeros((C, V), dtype=bool)
+    if cache_caps:
+        cap = np.full((C, V), np.inf)
+        for (i, k), c in cache_caps.items():
+            cap[k, i] = c
+        capped = y >= cap - 1e-12
+        link_min = np.full((V, C), np.inf)
+        np.minimum.at(link_min, src, np.where(unblocked, marg.delta_link, np.inf).T)
+        n_links = np.zeros((V, C), dtype=int)
+        np.add.at(n_links, src, unblocked.T)
+        conds &= ~capped | (n_links.T > 0)
+        capped &= conds
+        delta = np.where(capped, link_min.T, delta)
+    cond_e = conds[:, src]
     active = phi > PHI_ACTIVE
 
-    gap = marg.delta_link - marg.delta_min[:, src]
-    r_act = np.where(active & unblocked & nonserver_e, np.abs(gap), 0.0)
+    with np.errstate(invalid="ignore"):   # inf - inf on all-inf links
+        gap = marg.delta_link - delta[:, src]
+    r_act = np.where(active & unblocked & cond_e, np.abs(gap), 0.0)
     r_inact = np.where(
-        (~active) & unblocked & nonserver_e, np.maximum(0.0, -gap), 0.0
+        (~active) & unblocked & cond_e, np.maximum(0.0, -gap), 0.0
     )
     r_block = (
-        np.where(active & (~unblocked) & nonserver_e, phi, 0.0)
+        np.where(active & (~unblocked) & cond_e, phi, 0.0)
         if blocked_mask is not None
         else np.zeros_like(phi)
     )
 
     scale = np.maximum(1.0, t)
     t_zero = t <= T_ZERO
-    prod = t * np.where(np.isfinite(marg.delta_min), marg.delta_min, 0.0)
+    prod = t * np.where(np.isfinite(delta), delta, 0.0)
     cgap = marg.cache_deriv[None, :] - prod
-    conds = ~servers
-    c_act = np.where((y > 0) & ~t_zero & conds, np.abs(cgap) / scale, 0.0)
+    free = conds & ~capped
+    c_act = np.where((y > 0) & ~t_zero & free, np.abs(cgap) / scale, 0.0)
     c_inact = np.where(
-        (y <= 0) & ~t_zero & conds, np.maximum(0.0, -cgap) / scale, 0.0
+        (y <= 0) & ~t_zero & free, np.maximum(0.0, -cgap) / scale, 0.0
     )
-    c_t0 = np.where((y > 0) & t_zero & conds, y, 0.0)
+    c_t0 = np.where((y > 0) & t_zero & free, y, 0.0)
+    c_cap = np.where(capped, np.maximum(0.0, cgap) / scale, 0.0)
 
-    pair = np.maximum(np.maximum(c_act, c_inact), c_t0)
+    pair = np.maximum(np.maximum(c_act, c_inact), np.maximum(c_t0, c_cap))
     edge_worst = np.maximum(np.maximum(r_act, r_inact), r_block)
     np.maximum.at(pair.T, src, edge_worst.T)
     parts = {
         "r_act": r_act, "r_inact": r_inact, "r_block": r_block,
-        "c_act": c_act, "c_inact": c_inact, "c_t0": c_t0,
+        "c_act": c_act, "c_inact": c_inact, "c_t0": c_t0, "c_cap": c_cap,
     }
-    return pair, parts
+    return pair, parts, delta
 
 
 def modified_condition_residuals(topology, demand, strategy, flow, marg,
@@ -221,96 +243,28 @@ def modified_condition_residuals(topology, demand, strategy, flow, marg,
     (worst, violations, delta_used).
 
     Caching residuals are scaled by max(1, t_i(k)) so tolerances are
-    rate-independent.  ``cache_caps`` maps (i, k) to an upper bound on
-    y_i(k) (evaluation fixtures); a saturated caching direction is excluded
-    from the delta minimum and only requires B' <= t * delta.  Residuals at
-    or below ``record_above`` contribute to the worst value but are not
-    itemized (keeps the optimizer's per-period bookkeeping cheap).
+    rate-independent; ``cache_caps`` is as in ``vectorized_residuals``.
+    Residuals at or below ``record_above`` contribute to the worst value but
+    are not itemized.
     """
-    if cache_caps is None:
-        pair, parts = vectorized_residuals(
-            topology, demand, strategy, flow, marg, blocked
-        )
-        worst = float(pair.max()) if pair.size else 0.0
-        violations = []
-        if worst > record_above:
-            links = topology.links
-            for name, arr in parts.items():
-                for idx in np.argwhere(arr > record_above):
-                    if name.startswith("r"):
-                        k, e = idx
-                        loc = ("route" if name != "r_block" else "blocked_mass",
-                               links[e], int(k))
-                    else:
-                        k, i = idx
-                        loc = ({"c_act": "cache", "c_inact": "cache",
-                                "c_t0": "cache_t0"}[name], int(i), int(k))
-                    violations.append((loc, float(arr[tuple(idx)])))
-        return worst, violations, np.array(marg.delta_min, copy=True)
-
-    C, V = demand.num_items, topology.num_nodes
-    blocked_mask = blocked.mask if blocked is not None else None
+    pair, parts, delta = vectorized_residuals(
+        topology, demand, strategy, flow, marg, blocked, cache_caps=cache_caps
+    )
+    worst = float(pair.max()) if pair.size else 0.0
     violations = []
-    worst = 0.0
-    delta_used = np.array(marg.delta_min, copy=True)
-
-    for k in range(C):
-        for i in range(V):
-            if i in demand.servers[k]:
-                continue
-            ti = flow.t[k, i]
-            y_ = strategy.y[k, i]
-            cap = None if cache_caps is None else cache_caps.get((i, k))
-            capped = cap is not None and y_ >= cap - 1e-12
-            edges = [
-                e for e in topology.out_edges[i]
-                if blocked_mask is None or not blocked_mask[k, e]
-            ]
-            cands = [marg.delta_link[k, e] for e in edges]
-            if not capped:
-                cands.append(marg.delta_cache[k, i])
-            if not cands:
-                continue
-            delta = min(cands)
-            delta_used[k, i] = delta
-            scale = max(1.0, ti)
-
-            # the condition forces y = 0 where t = 0
-            if ti <= T_ZERO and y_ > 0 and not capped:
-                worst = max(worst, y_)
-                if y_ > record_above:
-                    violations.append((("cache_t0", i, k), float(y_)))
-            else:
-                gap = marg.cache_deriv[i] - (0.0 if delta == np.inf else ti * delta)
-                if capped:
-                    resid = max(0.0, gap / scale)
-                elif y_ > 0:
-                    resid = abs(gap) / scale
+    if worst > record_above:
+        links = topology.links
+        for name, arr in parts.items():
+            for idx in np.argwhere(arr > record_above):
+                if name.startswith("r"):
+                    k, e = idx
+                    loc = ("route" if name != "r_block" else "blocked_mass",
+                           links[e], int(k))
                 else:
-                    resid = max(0.0, -gap / scale)
-                worst = max(worst, resid)
-                if resid > record_above:
-                    violations.append((("cache", i, k), float(resid)))
-
-            for e in edges:
-                dv = marg.delta_link[k, e]
-                if strategy.phi[k, e] > PHI_ACTIVE:
-                    resid = abs(dv - delta)
-                else:
-                    resid = max(0.0, delta - dv)
-                worst = max(worst, resid)
-                if resid > record_above:
-                    violations.append((("route", topology.links[e], k), float(resid)))
-            if blocked_mask is not None:
-                for e in topology.out_edges[i]:
-                    if blocked_mask[k, e] and strategy.phi[k, e] > PHI_ACTIVE:
-                        worst = max(worst, strategy.phi[k, e])
-                        if strategy.phi[k, e] > record_above:
-                            violations.append(
-                                (("blocked_mass", topology.links[e], k),
-                                 float(strategy.phi[k, e]))
-                            )
-    return worst, violations, delta_used
+                    k, i = idx
+                    loc = ("cache_t0" if name == "c_t0" else "cache", int(i), int(k))
+                violations.append((loc, float(arr[tuple(idx)])))
+    return worst, violations, np.array(delta, copy=True)
 
 
 def check_modified_condition(topology, demand, strategy, cost, blocked=None,

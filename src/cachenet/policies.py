@@ -10,8 +10,8 @@ import numpy as np
 
 from .blocking import dynamic_blocked_sets, static_blocked_sets
 from .fixedroute import FixedRoutingInstance, gcfw
-from .flow import FlowState, Strategy, solve_traffic
-from .gp import apply_update, gp_update_node, shortest_path_strategy, sp_next_hops
+from .flow import FlowState, solve_traffic
+from .gp import gp_step, shortest_path_strategy, sp_next_hops
 from .marginals import compute_marginals
 from .rounding import build_bar_map, sample_decision, slot_uniform
 
@@ -165,13 +165,9 @@ class GPOnlinePolicy(RelaxedStrategyPolicy):
             total_cost=float("nan"),
         )
         marg = compute_marginals(top, dem, self.strategy, flow, cost, self.blocked)
-        reports = [
-            gp_update_node(i, top, dem, self.strategy, flow, marg,
-                           self.blocked, self.alpha)
-            for i in range(top.num_nodes)
-        ]
-        for rep in reports:
-            apply_update(self.strategy, rep)
+        every_pair = np.ones_like(self.strategy.y, dtype=bool)
+        gp_step(top, dem, self.strategy, flow, marg, self.blocked, self.alpha,
+                every_pair)
         if self.blocked_mode == "dynamic":
             self.blocked = dynamic_blocked_sets(top, dem, self.strategy)
         self._rebuild_bar_maps()
@@ -385,22 +381,6 @@ def make_policy(name, **kw):
 # ---------------------------------------------------------------------------
 # Flow-level baseline analogues (deterministic, used by experiments)
 # ---------------------------------------------------------------------------
-
-
-def sp_binary_strategy(topology, demand, cost, cache_sets, next_hop=None):
-    """Shortest-path routing with binary caches: phi = 0 where cached."""
-    nh = next_hop or sp_next_hops(topology, demand, cost)
-    strat = Strategy(topology, demand.num_items)
-    for k in range(demand.num_items):
-        for i in range(topology.num_nodes):
-            if i in demand.servers[k]:
-                continue
-            if k in cache_sets[i]:
-                strat.y[k, i] = 1.0
-            else:
-                j = nh[(i, k)]
-                strat.set_phi(i, j, k, 1.0)
-    return strat
 
 
 def flow_costgreedy(scenario, max_steps=None):

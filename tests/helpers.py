@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from cachenet.flow import Strategy, solve_traffic
+from cachenet.errors import CacheNetError
+from cachenet.flow import T_ZERO, Strategy, solve_traffic
+from cachenet.marginals import PHI_ACTIVE
 from cachenet.network import (
     CostModel,
     Demand,
@@ -113,3 +115,144 @@ def fd_phi_pair(topology, demand, strategy, cost, k, e_plus, e_minus, h=1e-6):
     up = perturb_pair_cost(topology, demand, strategy, cost, k, e_plus, e_minus, h)
     dn = perturb_pair_cost(topology, demand, strategy, cost, k, e_plus, e_minus, -h)
     return (up - dn) / (2 * h)
+
+
+# ---------------------------------------------------------------------------
+# Per-pair loop references for the array forms in cachenet.gp / marginals
+# ---------------------------------------------------------------------------
+
+
+def _reference_pair_update(i, k, topology, strategy, flow, marg, blocked, alpha):
+    """(delta_phi dict, delta_y) of one (node, item) update, or None."""
+    out = topology.out_edges[i]
+    unblocked = [e for e in out if not blocked.mask[k, e]]
+    if not unblocked:
+        return None
+    ti = flow.t[k, i]
+    y = strategy.y[k, i]
+
+    if ti <= T_ZERO:
+        # no traffic: condition forces y = 0; park mass on the best hop
+        best = min(unblocked, key=lambda e: (marg.delta_link[k, e],
+                                             topology.dst[e]))
+        dphi = {}
+        moved = 0.0
+        for e in out:
+            cur = strategy.phi[k, e]
+            if e != best and cur > 0.0:
+                dphi[e] = -cur
+                moved += cur
+        if y > 0.0:
+            moved += y
+        if moved > 0.0:
+            dphi[best] = dphi.get(best, 0.0) + moved
+            return dphi, -y
+        return None
+
+    delta_vals = {e: marg.delta_link[k, e] for e in unblocked}
+    d_cache = marg.delta_cache[k, i]
+    d_min = min(min(delta_vals.values()), d_cache)
+    e_route = {e: dv - d_min for e, dv in delta_vals.items()}
+    e_cache = d_cache - d_min
+
+    receivers = [e for e, ex in e_route.items() if ex == 0.0]
+    n = len(receivers) + (1 if e_cache == 0.0 else 0)
+    if n == 0:
+        raise CacheNetError(f"no minimum-marginal direction at node {i}, item {k}")
+    moved = 0.0
+    dphi = {}
+    for e in out:
+        cur = strategy.phi[k, e]
+        if blocked.mask[k, e]:
+            if cur > 0.0:
+                dphi[e] = -cur
+                moved += cur
+        elif e_route.get(e, 0.0) > 0.0 and cur > 0.0:
+            step = min(cur, alpha * e_route[e])
+            dphi[e] = -step
+            moved += step
+    dy = 0.0
+    if e_cache > 0.0 and y > 0.0:
+        dy = -min(y, alpha * e_cache)
+        moved += -dy
+    if moved > 0.0:
+        share = moved / n
+        for e in receivers:
+            dphi[e] = dphi.get(e, 0.0) + share
+        if e_cache == 0.0:
+            dy += share
+    return (dphi, dy) if dphi or dy else None
+
+
+def reference_gp_step(topology, demand, strategy, flow, marg, blocked, alpha,
+                      pairs):
+    """Loop form of ``gp.gp_step``: every selected non-server pair's update
+    is computed from the current point, then all are applied (clipped)."""
+    updates = []
+    for i in range(topology.num_nodes):
+        for k in np.nonzero(pairs[:, i])[0]:
+            if i in demand.servers[k]:
+                continue
+            upd = _reference_pair_update(i, k, topology, strategy, flow, marg,
+                                         blocked, alpha)
+            if upd is not None:
+                updates.append((i, k, *upd))
+    for i, k, dphi, dy in updates:
+        for e, d in dphi.items():
+            strategy.phi[k, e] = min(1.0, max(0.0, strategy.phi[k, e] + d))
+        strategy.y[k, i] = min(1.0, max(0.0, strategy.y[k, i] + dy))
+
+
+def reference_residuals(topology, demand, strategy, flow, marg, blocked=None,
+                        cache_caps=None):
+    """Loop form of the modified-condition residuals with a cap table;
+    returns (worst, delta_used)."""
+    blocked_mask = blocked.mask if blocked is not None else None
+    worst = 0.0
+    delta_used = np.array(marg.delta_min, copy=True)
+    for k in range(demand.num_items):
+        for i in range(topology.num_nodes):
+            if i in demand.servers[k]:
+                continue
+            ti = flow.t[k, i]
+            y_ = strategy.y[k, i]
+            cap = None if cache_caps is None else cache_caps.get((i, k))
+            capped = cap is not None and y_ >= cap - 1e-12
+            edges = [
+                e for e in topology.out_edges[i]
+                if blocked_mask is None or not blocked_mask[k, e]
+            ]
+            cands = [marg.delta_link[k, e] for e in edges]
+            if not capped:
+                cands.append(marg.delta_cache[k, i])
+            if not cands:
+                continue
+            delta = min(cands)
+            delta_used[k, i] = delta
+            scale = max(1.0, ti)
+
+            # the condition forces y = 0 where t = 0
+            if ti <= T_ZERO and y_ > 0 and not capped:
+                worst = max(worst, y_)
+            else:
+                gap = marg.cache_deriv[i] - (0.0 if delta == np.inf else ti * delta)
+                if capped:
+                    resid = max(0.0, gap / scale)
+                elif y_ > 0:
+                    resid = abs(gap) / scale
+                else:
+                    resid = max(0.0, -gap / scale)
+                worst = max(worst, resid)
+
+            for e in edges:
+                dv = marg.delta_link[k, e]
+                if strategy.phi[k, e] > PHI_ACTIVE:
+                    resid = abs(dv - delta)
+                else:
+                    resid = max(0.0, delta - dv)
+                worst = max(worst, resid)
+            if blocked_mask is not None:
+                for e in topology.out_edges[i]:
+                    if blocked_mask[k, e] and strategy.phi[k, e] > PHI_ACTIVE:
+                        worst = max(worst, strategy.phi[k, e])
+    return worst, delta_used

@@ -121,6 +121,16 @@ class TestPacketLevel:
 
 
 class TestErrors:
+    def test_zero_periods_is_reported(self, tmp_path, capsys):
+        rc = main([
+            "--topology", "grid", "--size", "3x3", "--catalog", "4",
+            "--requests", "8", "--algorithm", "gp", "--periods", "0",
+            "--out", str(tmp_path / "z"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_bad_spec_is_reported(self, tmp_path, capsys):
         rc = main([
             "--topology", "grid", "--size", "2x2", "--catalog", "1",

@@ -7,11 +7,11 @@ import pytest
 
 from cachenet.blocking import dynamic_blocked_sets, static_blocked_sets
 from cachenet.flow import Strategy, solve_traffic, validate_strategy
+from cachenet.errors import ConfigurationError
 from cachenet.gp import (
     GPConfig,
-    apply_update,
     count_async_messages,
-    gp_update_node,
+    gp_step,
     run_gp,
     shortest_path_strategy,
 )
@@ -45,6 +45,27 @@ def fork_fixture(b=10.0):
     return top, dem, cost
 
 
+def node_pairs(demand, topology, node):
+    """``gp_step`` mask selecting every item at one node."""
+    pairs = np.zeros((demand.num_items, topology.num_nodes), dtype=bool)
+    pairs[:, node] = True
+    return pairs
+
+
+def step_delta(topology, demand, strategy, flow, marg, blocked, alpha, node):
+    """Apply ``gp_step`` at one node to a copy; returns (copy, dphi, dy)."""
+    after = strategy.copy()
+    gp_step(topology, demand, after, flow, marg, blocked, alpha,
+            node_pairs(demand, topology, node))
+    return after, after.phi - strategy.phi, after.y - strategy.y
+
+
+def conservation_error(topology, node, dphi, dy):
+    """Worst per-item |sum of the node's out-link changes + its y change|."""
+    out = list(topology.out_edges[node])
+    return float(np.abs(dphi[:, out].sum(axis=1) + dy[:, node]).max())
+
+
 class TestUpdateRule:
     def test_fixed_point_no_change(self):
         # all unblocked directions tie and nothing blocked carries mass
@@ -55,8 +76,9 @@ class TestUpdateRule:
         blocked = static_blocked_sets(top, dem, cost=cost)
         fs = solve_traffic(top, dem, s, cost)
         m = compute_marginals(top, dem, s, fs, cost, blocked)
-        rep = gp_update_node(0, top, dem, s, fs, m, blocked, alpha=0.01)
-        assert rep.items == []
+        after, _, _ = step_delta(top, dem, s, fs, m, blocked, 0.01, node=0)
+        assert np.array_equal(after.phi, s.phi)
+        assert np.array_equal(after.y, s.y)
 
     def test_two_neighbor_transfer_matches_hand_calc(self):
         # phi = (0.5, 0.5), delta = (1, 2), alpha = 0.01, t = 1:
@@ -74,13 +96,12 @@ class TestUpdateRule:
         d1, d2 = m.delta_link[0, e01], m.delta_link[0, e02]
         assert d1 == pytest.approx(1.0001)
         assert d2 == pytest.approx(2.0001)
-        rep = gp_update_node(0, top, dem, s, fs, m, blocked, alpha=0.01)
-        (item,) = rep.items
+        _, dphi, dy = step_delta(top, dem, s, fs, m, blocked, 0.01, node=0)
         expected = 0.01 * (d2 - d1)
-        assert item.delta_phi[e02] == pytest.approx(-expected)
-        assert item.delta_phi[e01] == pytest.approx(expected)
-        assert item.delta_y == 0.0
-        assert abs(sum(item.delta_phi.values()) + item.delta_y) < 1e-15
+        assert dphi[0, e02] == pytest.approx(-expected)
+        assert dphi[0, e01] == pytest.approx(expected)
+        assert dy[0, 0] == 0.0
+        assert conservation_error(top, 0, dphi, dy) < 1e-15
 
     def test_blocked_mass_fully_removed(self):
         top, dem, cost = fork_fixture(b=1000.0)
@@ -93,12 +114,11 @@ class TestUpdateRule:
         blocked.mask[0, top.edge_index[(0, 2)]] = True
         fs = solve_traffic(top, dem, s, cost)
         m = compute_marginals(top, dem, s, fs, cost, blocked)
-        rep = gp_update_node(0, top, dem, s, fs, m, blocked, alpha=0.01)
-        (item,) = rep.items
+        _, dphi, _ = step_delta(top, dem, s, fs, m, blocked, 0.01, node=0)
         e02 = top.edge_index[(0, 2)]
         e01 = top.edge_index[(0, 1)]
-        assert item.delta_phi[e02] == pytest.approx(-0.3)
-        assert item.delta_phi[e01] >= 0.3 - 1e-12  # plus alpha-driven transfers
+        assert dphi[0, e02] == pytest.approx(-0.3)
+        assert dphi[0, e01] >= 0.3 - 1e-12  # plus alpha-driven transfers
 
     def test_zero_traffic_parks_mass_and_zeroes_y(self):
         top, dem, cost = fork_fixture(b=10.0)
@@ -110,8 +130,7 @@ class TestUpdateRule:
         blocked = static_blocked_sets(top, dem0, cost=cost)
         fs = solve_traffic(top, dem0, s, cost)
         m = compute_marginals(top, dem0, s, fs, cost, blocked)
-        rep = gp_update_node(0, top, dem0, s, fs, m, blocked, alpha=0.01)
-        apply_update(s, rep)
+        gp_step(top, dem0, s, fs, m, blocked, 0.01, node_pairs(dem0, top, 0))
         assert s.y[0, 0] == 0.0
         # all mass parked on the cheaper unblocked direction (0, 1)
         assert s.phi[0, top.edge_index[(0, 1)]] == pytest.approx(1.0)
@@ -128,13 +147,16 @@ class TestUpdateRule:
             fs = solve_traffic(top, dem, s, cost)
             m = compute_marginals(top, dem, s, fs, cost, blocked)
             for i in range(top.num_nodes):
-                rep = gp_update_node(i, top, dem, s, fs, m, blocked, 0.05)
-                assert rep.conservation_error() < 1e-12
-                apply_update(s, rep)
+                s, dphi, dy = step_delta(top, dem, s, fs, m, blocked, 0.05, i)
+                assert conservation_error(top, i, dphi, dy) < 1e-12
             assert validate_strategy(top, dem, s).passed
 
 
 class TestRunGp:
+    def test_no_periods_rejected(self):
+        with pytest.raises(ConfigurationError):
+            GPConfig(max_periods=0)
+
     def test_immediate_termination_at_fixed_point(self):
         top = line_topology(2)
         dem = Demand(1, [{1}], np.array([[1.0, 0.0]]))
@@ -184,11 +206,11 @@ class TestRunGp:
         s = traj.strategy
         fs = solve_traffic(top, dem, s, cost)
         m = compute_marginals(top, dem, s, fs, cost, traj.blocked)
-        for i in range(top.num_nodes):
-            rep = gp_update_node(i, top, dem, s, fs, m, traj.blocked, 0.02)
-            for item in rep.items:
-                assert all(abs(d) < 1e-8 for d in item.delta_phi.values())
-                assert abs(item.delta_y) < 1e-8
+        after = s.copy()
+        gp_step(top, dem, after, fs, m, traj.blocked, 0.02,
+                np.ones_like(s.y, dtype=bool))
+        assert np.abs(after.phi - s.phi).max() < 1e-8
+        assert np.abs(after.y - s.y).max() < 1e-8
 
     def test_three_node_matches_brute_force(self):
         # exhaustive (phi, y) grid at step 0.02 on a line instance
@@ -243,9 +265,9 @@ class TestRunGp:
         blocked = static_blocked_sets(top, dem, cost=cost)
         fs = solve_traffic(top, dem, s, cost)
         m = compute_marginals(top, dem, s, fs, cost, blocked)
-        rep = gp_update_node(0, top, dem, s, fs, m, blocked, 0.01, cost=cost)
+        after, _, _ = step_delta(top, dem, s, fs, m, blocked, 0.01, node=0)
         # the transfer moves mass to the cheaper fork: cost must drop
-        assert rep.post_cost < fs.total_cost
+        assert solve_traffic(top, dem, after, cost).total_cost < fs.total_cost
 
 
 class TestMessages:

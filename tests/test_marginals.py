@@ -18,6 +18,7 @@ from helpers import (
     fd_phi_pair,
     line_topology,
     random_loopfree_instance,
+    reference_residuals,
     symmetric_costs,
 )
 
@@ -249,20 +250,40 @@ class TestModifiedCondition:
         assert any(v[0][0] == "cache_t0" for v in rep.violations)
 
     def test_vectorized_and_reference_residuals_agree(self):
-        # the fast array path and the per-pair reference loop (taken when a
-        # cap table is supplied; empty here) must report the same worst value
+        # the array path (cache caps as a mask) and the per-pair reference
+        # loop must report the same worst value and multipliers exactly,
+        # with no cap table, random cap tables and random blocked masks
         rng = np.random.default_rng(31)
-        from cachenet.blocking import dynamic_blocked_sets
+        from cachenet.blocking import BlockedSets, dynamic_blocked_sets
 
-        for _ in range(8):
+        def agree(top, dem, s, cost, blocked, caps):
+            fs = solve_traffic(top, dem, s, cost)
+            m = compute_marginals(top, dem, s, fs, cost, blocked)
+            rep = check_modified_condition(
+                top, dem, s, cost, blocked=blocked, tol=1e-9, cache_caps=caps,
+                flow=fs, marg=m,
+            )
+            worst, delta = reference_residuals(top, dem, s, fs, m, blocked, caps)
+            assert rep.worst == worst
+            assert np.array_equal(rep.multipliers, delta)
+            assert rep.passed == (worst <= 1e-9)
+
+        for _ in range(40):
             top, dem, cost, s = random_loopfree_instance(rng)
             s.y[0, 0] = min(1.0, s.y[0, 0] + 0.2)  # break optimality a bit
-            for blocked in (None, dynamic_blocked_sets(top, dem, s)):
-                fast = check_modified_condition(
-                    top, dem, s, cost, blocked=blocked, tol=1e-9
-                )
-                slow = check_modified_condition(
-                    top, dem, s, cost, blocked=blocked, tol=1e-9, cache_caps={}
-                )
-                assert fast.worst == pytest.approx(slow.worst, rel=1e-12)
-                assert fast.passed == slow.passed
+            caps = {}
+            for i in range(top.num_nodes):
+                for k in range(dem.num_items):
+                    draw = rng.random()
+                    if draw < 0.3:
+                        caps[(i, k)] = s.y[k, i]           # at the cap
+                    elif draw < 0.45:
+                        caps[(i, k)] = s.y[k, i] + 0.1     # below the cap
+            random_mask = BlockedSets("static", rng.random(s.phi.shape) < 0.5)
+            for blocked in (None, dynamic_blocked_sets(top, dem, s), random_mask):
+                for table in (None, caps):
+                    agree(top, dem, s, cost, blocked, table)
+
+        top, dem, cost, loop, loop_free, caps = appendix_loop_fixture()
+        for strat in (loop, loop_free):
+            agree(top, dem, strat, cost, None, caps)

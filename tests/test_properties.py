@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from cachenet.flow import Strategy, dag_levels, solve_dense, solve_traffic
-from cachenet.gp import GPConfig, message_counts, run_gp
+from cachenet.blocking import dynamic_blocked_sets, static_blocked_sets
+from cachenet.flow import T_ZERO, Strategy, dag_levels, solve_dense, solve_traffic
+from cachenet.gp import GPConfig, gp_step, message_counts, run_gp
 from cachenet.marginals import compute_marginals
 from cachenet.network import Demand, Topology
 from cachenet.scenarios import TABLE_PRESETS, generate_scenario
@@ -15,6 +16,7 @@ from helpers import (
     appendix_loop_fixture,
     line_topology,
     random_loopfree_instance,
+    reference_gp_step,
     symmetric_costs,
 )
 
@@ -179,3 +181,80 @@ class TestSweepMatchesDense:
         assert np.array_equal(fs.t, solve_dense(top, loop.phi, dem.rates))
         marg = compute_marginals(top, dem, loop, fs, cost)
         assert marg.acyclic.tolist() == [False]
+
+
+class TestGpStepMatchesLoop:
+    """The array-form step equals the per-pair loop reference bit for bit,
+    on every schedule's mask shape and on zero-traffic pairs."""
+
+    def _check(self, top, dem, cost, strat, blocked, pairs, alpha):
+        fs = solve_traffic(top, dem, strat, cost)
+        marg = compute_marginals(top, dem, strat, fs, cost, blocked)
+        got, ref = strat.copy(), strat.copy()
+        gp_step(top, dem, got, fs, marg, blocked, alpha, pairs)
+        reference_gp_step(top, dem, ref, fs, marg, blocked, alpha, pairs)
+        assert np.array_equal(got.phi, ref.phi)
+        assert np.array_equal(got.y, ref.y)
+        return int(((fs.t <= T_ZERO) & pairs).sum())
+
+    def test_idle_tie_goes_to_lowest_neighbor(self):
+        # idle node 0 sees three equal hops 1, 2, 3 to server 4
+        links = []
+        for a, b in [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]:
+            links += [(a, b), (b, a)]
+        top = Topology(5, links)
+        dem = Demand(1, [{4}], np.array([[0.0, 1.0, 1.0, 1.0, 0.0]]))
+        cost = symmetric_costs(top, {frozenset(e): 1.0 for e in links},
+                               [1.0] * 5)
+        strat = Strategy.from_dicts(
+            top, 1,
+            phi={(0, 2, 0): 0.4, (0, 3, 0): 0.4,
+                 (1, 4, 0): 1.0, (2, 4, 0): 1.0, (3, 4, 0): 1.0},
+            y={(0, 0): 0.2},
+        )
+        blocked = static_blocked_sets(top, dem, cost=cost)
+        pairs = np.ones(strat.y.shape, dtype=bool)
+        assert self._check(top, dem, cost, strat, blocked, pairs, 0.1) > 0
+        fs = solve_traffic(top, dem, strat, cost)
+        marg = compute_marginals(top, dem, strat, fs, cost, blocked)
+        gp_step(top, dem, strat, fs, marg, blocked, 0.1, pairs)
+        assert strat.phi[0, top.edge_index[(0, 1)]] == 1.0
+        assert strat.y[0, 0] == 0.0
+
+    def test_random_instances_with_idle_pairs(self):
+        rng = np.random.default_rng(808)
+        idle = 0
+        for _ in range(60):
+            top, dem, cost, strat = random_loopfree_instance(rng, max_nodes=8)
+            rates = dem.rates.copy()
+            rates[:, rng.random(top.num_nodes) < 0.5] = 0.0
+            dem = Demand(dem.num_items, dem.servers, rates)
+            shape = strat.y.shape
+            column = np.zeros(shape, dtype=bool)
+            column[:, rng.integers(top.num_nodes)] = True
+            for blocked in (static_blocked_sets(top, dem, cost=cost),
+                            dynamic_blocked_sets(top, dem, strat)):
+                for pairs in (np.ones(shape, dtype=bool), column,
+                              rng.random(shape) < 0.5):
+                    alpha = float(rng.choice([0.01, 0.1, 2.0]))
+                    idle += self._check(top, dem, cost, strat, blocked, pairs,
+                                        alpha)
+        assert idle > 0
+
+    def test_mid_run_gp_states_on_grid25(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        rng = np.random.default_rng(9)
+        for mode in ("static", "dynamic"):
+            for periods in (1, 15, 40):
+                traj = run_gp(top, dem, cost, GPConfig(
+                    alpha=0.05, max_periods=periods, tol=1e-12,
+                    blocked_mode=mode,
+                ))
+                strat = traj.strategy
+                blocked = (static_blocked_sets(top, dem, cost=cost)
+                           if mode == "static"
+                           else dynamic_blocked_sets(top, dem, strat))
+                for pairs in (np.ones(strat.y.shape, dtype=bool),
+                              rng.random(strat.y.shape) < 0.5):
+                    self._check(top, dem, cost, strat, blocked, pairs, 0.05)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cachenet.flow import Strategy, solve_traffic
+from cachenet.gp import shortest_path_strategy
 from cachenet.network import Demand
 from cachenet.policies import (
     EvictionCache,
@@ -13,7 +14,6 @@ from cachenet.policies import (
     UniformDeploymentPolicy,
     flow_costgreedy,
     make_policy,
-    sp_binary_strategy,
     track_costs,
 )
 from cachenet.sim import (
@@ -280,10 +280,7 @@ class TestBaselines:
                             link_cost_range=(0.2, 0.2),
                             cache_price_range=(1.0, 1.0))
         scen = generate_scenario(spec, seed=5)
-        no_cache = sp_binary_strategy(
-            scen.topology, scen.demand, scen.cost,
-            [set() for _ in range(scen.topology.num_nodes)],
-        )
+        no_cache = shortest_path_strategy(scen.topology, scen.demand, scen.cost)
         t0 = solve_traffic(scen.topology, scen.demand, no_cache, scen.cost).total_cost
         best, sets, costs = flow_costgreedy(scen)
         assert best <= t0
