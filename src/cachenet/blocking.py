@@ -117,62 +117,48 @@ def _check_reachability(topology, demand, blocked):
             )
 
 
-def topological_order(topology, active_out):
-    """Deterministic topological order of the positive-edge subgraph.
-
-    active_out[i] yields the active out-neighbors of i.  Nodes touching at
-    least one active edge are Kahn-sorted (lowest id first among ready
-    nodes); nodes with no active incidence are appended in id order.
-    Returns None if the subgraph has a cycle.
-    """
-    n = topology.num_nodes
-    indeg = [0] * n
-    incident = [False] * n
-    for i in range(n):
-        for j in active_out(i):
-            indeg[j] += 1
-            incident[i] = incident[j] = True
-    ready = [i for i in range(n) if incident[i] and indeg[i] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in active_out(i):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
-    if len(order) != sum(incident):
-        return None  # cycle among incident nodes
-    order.extend(i for i in range(n) if not incident[i])
-    return order
-
-
 def dynamic_blocked_sets(topology, demand, strategy):
     """Topological-order blocked sets from the current positive-phi DAG.
 
     Per item, nodes carrying positive phi are Kahn-sorted (lowest id first
     among ready nodes) and nodes with no positive-phi incidence are appended
     in id order; j is blocked for i iff j precedes i in that total order.
-    Raises LoopError if some positive-phi subgraph has a cycle.
+    The sort runs on all items at once: each step places, in every item, the
+    lowest-id node whose active in-links all come from placed nodes.
+    Raises LoopError, naming the lowest such item, if some positive-phi
+    subgraph has a cycle.
     """
     C, V = demand.num_items, topology.num_nodes
-    phi = strategy.phi
-    mask = np.ones((C, topology.num_links), dtype=bool)
-    for k in range(C):
-
-        def active_out(i, k=k):
-            return [
-                topology.dst[e]
-                for e in topology.out_edges[i]
-                if phi[k, e] > PHI_ACTIVE
-            ]
-
-        order = topological_order(topology, active_out)
-        if order is None:
-            raise LoopError(f"loop in routing strategy for item {k}")
-        pos = np.empty(V, dtype=np.intp)
-        pos[order] = np.arange(V)
-        # unblocked iff the destination comes later in the total order
-        mask[k] = pos[topology.dst] < pos[topology.src]
+    W = V + 1   # node V of each item is virtual: always ready, never placed
+    src, dst = topology.src, topology.dst
+    k, e = np.nonzero(strategy.phi > PHI_ACTIVE)
+    incident = np.zeros((C, V), dtype=bool)
+    incident[k, src[e]] = incident[k, dst[e]] = True
+    # blockers[k, i]: active in-links of i from unplaced nodes, plus 1 once
+    # i is placed or if i has no active link; a node is ready iff it is 0
+    blockers = np.bincount(k * W + dst[e], minlength=C * W).reshape(C, W)
+    blockers[:, :V] += ~incident
+    # row k*W + i is what placing node i of item k takes off blockers: its
+    # active out-links, and -1 on i itself
+    adj = np.zeros((C, W, W), dtype=np.int8)
+    adj[:, np.arange(V), np.arange(V)] = -1
+    adj = adj.reshape(C * W, W)
+    adj[k * W + src[e], dst[e]] = 1
+    first = np.arange(C) * W
+    pos = np.full(C * W, -1)
+    n_incident = incident.sum(axis=1)
+    for step in range(int(n_incident.max(initial=0))):
+        # argmin takes the first 0: the lowest-id ready node, or the
+        # virtual node when the item is done or stuck on a cycle
+        placed = first + np.argmin(blockers, axis=1)
+        pos[placed] = step
+        blockers -= adj[placed]
+    pos = pos.reshape(C, W)[:, :V]
+    cyclic = (incident & (pos < 0)).any(axis=1)
+    if cyclic.any():
+        raise LoopError(f"loop in routing strategy for item {int(np.argmax(cyclic))}")
+    # nodes without an active link follow in id order
+    pos = np.where(incident, pos, np.cumsum(~incident, axis=1) - 1 + n_incident[:, None])
+    # unblocked iff the destination comes later in the total order
+    mask = pos[:, dst] < pos[:, src]
     return BlockedSets(mode="dynamic", mask=mask)

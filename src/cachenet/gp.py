@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocking import dynamic_blocked_sets, static_blocked_sets
 from .errors import CacheNetError, ConfigurationError
-from .flow import T_ZERO, Strategy, solve_traffic
+from .flow import T_ZERO, Strategy, fold_out_links, solve_traffic
 from .marginals import (
     PHI_ACTIVE,
     compute_marginals,
@@ -71,7 +71,6 @@ def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):
     phi, y = strategy.phi, strategy.y
     C, V = y.shape
     unblocked = ~blocked.mask
-    pair_of = (np.arange(C)[:, None] * V + src).ravel()   # flat (k, src(e))
     # The step's (C, E) float arrays are three views of one block, filled
     # in place.  As separate temporaries they made glibc grow and trim the
     # heap on every step and fault its pages back in, here and in the code
@@ -90,9 +89,7 @@ def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):
         if edge_vals.dtype != float:
             np.copyto(as_float, edge_vals)
             edge_vals = as_float
-        out = np.full(C * V, start, dtype=float)
-        ufunc.at(out, pair_of, edge_vals.ravel())
-        return out.reshape(C, V)
+        return fold_out_links(src, edge_vals, ufunc, np.full((C, V), start, dtype=float))
 
     pairs = pairs & ~server_mask(topology, demand) & (per_node(unblocked) > 0)
     idle = pairs & (flow.t <= T_ZERO)

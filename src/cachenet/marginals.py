@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import T_ZERO, dag_levels, solve_dense, solve_traffic, sweep_reverse
+from .flow import (
+    T_ZERO,
+    dag_levels,
+    fold_out_links,
+    solve_dense,
+    solve_traffic,
+    sweep_reverse,
+)
 
 PHI_ACTIVE = 1e-12  # routing fractions above this count as active directions
 
@@ -66,9 +73,9 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     cyclic = ~acyclic
     if cyclic.any():
         phi_c = phi[cyclic]
-        c = np.zeros((V, len(phi_c)))
-        np.add.at(c, topology.src, (phi_c * resp_deriv).T)
-        dTdr[cyclic] = solve_dense(topology, phi_c, c.T, transpose=True)
+        c = fold_out_links(topology.src, phi_c * resp_deriv, np.add,
+                           np.zeros((len(phi_c), V)))
+        dTdr[cyclic] = solve_dense(topology, phi_c, c, transpose=True)
 
     delta_link = resp_deriv[None, :] + dTdr[:, topology.dst]
     with np.errstate(divide="ignore"):
@@ -76,8 +83,7 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
 
     blocked_mask = blocked.mask if blocked is not None else None
     dl = delta_link if blocked_mask is None else np.where(blocked_mask, np.inf, delta_link)
-    delta_min = np.full((C, V), np.inf)
-    np.minimum.at(delta_min.T, topology.src, dl.T)
+    delta_min = fold_out_links(topology.src, dl, np.minimum, np.full((C, V), np.inf))
     delta_min = np.minimum(delta_min, delta_cache)
 
     return MarginalState(
@@ -113,41 +119,35 @@ def check_kkt(topology, demand, strategy, cost, tol=1e-6, flow=None, marg=None):
 
     Active directions (phi > 0 or y > 0) must attain the multiplier
     lambda_ik = min(B'_i, min_j t_i (D'_ji + dT/dr_j)); inactive directions
-    must be >= lambda_ik - tol.
+    must be >= lambda_ik - tol.  Violations are listed by item, then node,
+    the cache before the links in link order.
     """
     if flow is None:
         flow = solve_traffic(topology, demand, strategy, cost)
     if marg is None:
         marg = compute_marginals(topology, demand, strategy, flow, cost)
     C, V = demand.num_items, topology.num_nodes
-    lam = np.zeros((C, V))
-    violations = []
-    for k in range(C):
-        for i in range(V):
-            if i in demand.servers[k]:
-                continue
-            ti = flow.t[k, i]
-            route_vals = [
-                (ti * marg.delta_link[k, e], e) for e in topology.out_edges[i]
-            ]
-            lam_ik = min(
-                [marg.cache_deriv[i]] + [v for v, _ in route_vals]
-            )
-            lam[k, i] = lam_ik
-            y_ = strategy.y[k, i]
-            if y_ > 0:
-                resid = abs(marg.cache_deriv[i] - lam_ik)
-            else:
-                resid = max(0.0, lam_ik - marg.cache_deriv[i])
-            if resid > tol:
-                violations.append((("cache", i, k), float(resid)))
-            for v, e in route_vals:
-                if strategy.phi[k, e] > PHI_ACTIVE:
-                    resid = abs(v - lam_ik)
-                else:
-                    resid = max(0.0, lam_ik - v)
-                if resid > tol:
-                    violations.append((("route", topology.links[e], k), float(resid)))
+    src, Bp = topology.src, marg.cache_deriv
+    servers = server_mask(topology, demand)
+    route = flow.t[:, src] * marg.delta_link
+    lam = fold_out_links(src, route, np.minimum, np.tile(Bp, (C, 1)))
+    lam[servers] = 0.0
+    cache_r = np.where(strategy.y > 0, np.abs(Bp - lam), np.maximum(0.0, lam - Bp))
+    lam_e = lam[:, src]
+    route_r = np.where(strategy.phi > PHI_ACTIVE, np.abs(route - lam_e),
+                       np.maximum(0.0, lam_e - route))
+    cache_r[servers] = route_r[servers[:, src]] = 0.0
+
+    kc, ic = np.nonzero(cache_r > tol)
+    kr, er = np.nonzero(route_r > tol)
+    locs = [("cache", int(i), int(k)) for k, i in zip(kc, ic)]
+    locs += [("route", topology.links[e], int(k)) for k, e in zip(kr, er)]
+    mags = np.concatenate([cache_r[kc, ic], route_r[kr, er]])
+    # sort by (item, node, cache first, link)
+    order = np.lexsort((np.concatenate([np.full(len(kc), -1), er]),
+                        np.concatenate([ic, src[er]]),
+                        np.concatenate([kc, kr])))
+    violations = [(locs[n], float(mags[n])) for n in order]
     worst = max((m for _, m in violations), default=0.0)
     return ConditionReport(
         kind="kkt", multipliers=lam, worst=worst,
@@ -193,13 +193,13 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
         for (i, k), c in cache_caps.items():
             cap[k, i] = c
         capped = y >= cap - 1e-12
-        link_min = np.full((V, C), np.inf)
-        np.minimum.at(link_min, src, np.where(unblocked, marg.delta_link, np.inf).T)
-        n_links = np.zeros((V, C), dtype=int)
-        np.add.at(n_links, src, unblocked.T)
-        conds &= ~capped | (n_links.T > 0)
+        link_min = fold_out_links(src, np.where(unblocked, marg.delta_link, np.inf),
+                                  np.minimum, np.full((C, V), np.inf))
+        n_links = fold_out_links(src, unblocked.astype(int), np.add,
+                                 np.zeros((C, V), dtype=int))
+        conds &= ~capped | (n_links > 0)
         capped &= conds
-        delta = np.where(capped, link_min.T, delta)
+        delta = np.where(capped, link_min, delta)
     cond_e = conds[:, src]
     active = phi > PHI_ACTIVE
 
@@ -229,7 +229,7 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
 
     pair = np.maximum(np.maximum(c_act, c_inact), np.maximum(c_t0, c_cap))
     edge_worst = np.maximum(np.maximum(r_act, r_inact), r_block)
-    np.maximum.at(pair.T, src, edge_worst.T)
+    pair = fold_out_links(src, edge_worst, np.maximum, pair)
     parts = {
         "r_act": r_act, "r_inact": r_inact, "r_block": r_block,
         "c_act": c_act, "c_inact": c_inact, "c_t0": c_t0, "c_cap": c_cap,

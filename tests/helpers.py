@@ -1,10 +1,13 @@
 """Shared fixture builders and independent oracles used across the tests."""
 
+import heapq
+
 import numpy as np
 
-from cachenet.errors import CacheNetError
+from cachenet.blocking import BlockedSets
+from cachenet.errors import CacheNetError, LoopError
 from cachenet.flow import T_ZERO, Strategy, solve_traffic
-from cachenet.marginals import PHI_ACTIVE
+from cachenet.marginals import PHI_ACTIVE, compute_marginals
 from cachenet.network import (
     CostModel,
     Demand,
@@ -118,8 +121,63 @@ def fd_phi_pair(topology, demand, strategy, cost, k, e_plus, e_minus, h=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# Per-pair loop references for the array forms in cachenet.gp / marginals
+# Loop references for the array forms in cachenet.blocking / gp / marginals
 # ---------------------------------------------------------------------------
+
+
+def topological_order(topology, active_out):
+    """Deterministic topological order of the positive-edge subgraph.
+
+    active_out[i] yields the active out-neighbors of i.  Nodes touching at
+    least one active edge are Kahn-sorted (lowest id first among ready
+    nodes); nodes with no active incidence are appended in id order.
+    Returns None if the subgraph has a cycle.
+    """
+    n = topology.num_nodes
+    indeg = [0] * n
+    incident = [False] * n
+    for i in range(n):
+        for j in active_out(i):
+            indeg[j] += 1
+            incident[i] = incident[j] = True
+    ready = [i for i in range(n) if incident[i] and indeg[i] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in active_out(i):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    if len(order) != sum(incident):
+        return None  # cycle among incident nodes
+    order.extend(i for i in range(n) if not incident[i])
+    return order
+
+
+def reference_dynamic_blocked_sets(topology, demand, strategy):
+    """Loop form of ``blocking.dynamic_blocked_sets``: one heap-based Kahn
+    sort per item."""
+    C, V = demand.num_items, topology.num_nodes
+    phi = strategy.phi
+    mask = np.ones((C, topology.num_links), dtype=bool)
+    for k in range(C):
+
+        def active_out(i, k=k):
+            return [
+                topology.dst[e]
+                for e in topology.out_edges[i]
+                if phi[k, e] > PHI_ACTIVE
+            ]
+
+        order = topological_order(topology, active_out)
+        if order is None:
+            raise LoopError(f"loop in routing strategy for item {k}")
+        pos = np.empty(V, dtype=np.intp)
+        pos[order] = np.arange(V)
+        mask[k] = pos[topology.dst] < pos[topology.src]
+    return BlockedSets(mode="dynamic", mask=mask)
 
 
 def _reference_pair_update(i, k, topology, strategy, flow, marg, blocked, alpha):
@@ -256,3 +314,44 @@ def reference_residuals(topology, demand, strategy, flow, marg, blocked=None,
                     if blocked_mask[k, e] and strategy.phi[k, e] > PHI_ACTIVE:
                         worst = max(worst, strategy.phi[k, e])
     return worst, delta_used
+
+
+def reference_kkt(topology, demand, strategy, cost, tol=1e-6, flow=None,
+                  marg=None):
+    """Loop form of ``marginals.check_kkt``; returns (multipliers, worst,
+    violations)."""
+    if flow is None:
+        flow = solve_traffic(topology, demand, strategy, cost)
+    if marg is None:
+        marg = compute_marginals(topology, demand, strategy, flow, cost)
+    C, V = demand.num_items, topology.num_nodes
+    lam = np.zeros((C, V))
+    violations = []
+    for k in range(C):
+        for i in range(V):
+            if i in demand.servers[k]:
+                continue
+            ti = flow.t[k, i]
+            route_vals = [
+                (ti * marg.delta_link[k, e], e) for e in topology.out_edges[i]
+            ]
+            lam_ik = min(
+                [marg.cache_deriv[i]] + [v for v, _ in route_vals]
+            )
+            lam[k, i] = lam_ik
+            y_ = strategy.y[k, i]
+            if y_ > 0:
+                resid = abs(marg.cache_deriv[i] - lam_ik)
+            else:
+                resid = max(0.0, lam_ik - marg.cache_deriv[i])
+            if resid > tol:
+                violations.append((("cache", i, k), float(resid)))
+            for v, e in route_vals:
+                if strategy.phi[k, e] > PHI_ACTIVE:
+                    resid = abs(v - lam_ik)
+                else:
+                    resid = max(0.0, lam_ik - v)
+                if resid > tol:
+                    violations.append((("route", topology.links[e], k), float(resid)))
+    worst = max((m for _, m in violations), default=0.0)
+    return lam, worst, violations

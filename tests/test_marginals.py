@@ -18,6 +18,7 @@ from helpers import (
     fd_phi_pair,
     line_topology,
     random_loopfree_instance,
+    reference_kkt,
     reference_residuals,
     symmetric_costs,
 )
@@ -196,6 +197,32 @@ class TestCheckKkt:
         rep = check_kkt(top, dem, pert, cost, tol=1e-3)
         assert not rep.passed
         assert rep.worst > 1e-3
+
+
+    def test_array_form_matches_loop_reference(self):
+        # bit-equal multipliers, the same worst value and the same
+        # violations, on random instances (some pairs without traffic) and
+        # on both appendix strategies (the loop one takes the dense path)
+        rng = np.random.default_rng(57)
+        cases = []
+        for _ in range(40):
+            top, dem, cost, s = random_loopfree_instance(rng, max_nodes=7)
+            rates = dem.rates.copy()
+            rates[:, rng.random(top.num_nodes) < 0.3] = 0.0
+            cases.append((top, Demand(dem.num_items, dem.servers, rates), cost, s))
+        top, dem, cost, loop, loop_free, _ = appendix_loop_fixture()
+        cases += [(top, dem, cost, loop), (top, dem, cost, loop_free)]
+        violated = 0
+        for top, dem, cost, s in cases:
+            for tol in (0.0, 1e-6, 0.1):
+                rep = check_kkt(top, dem, s, cost, tol=tol)
+                lam, worst, violations = reference_kkt(top, dem, s, cost, tol=tol)
+                assert np.array_equal(rep.multipliers, lam)
+                assert rep.worst == worst
+                assert rep.violations == violations
+                assert rep.passed == (worst <= tol)
+                violated += len(violations)
+        assert violated > 0
 
 
 class TestModifiedCondition:

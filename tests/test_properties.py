@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cachenet.blocking import dynamic_blocked_sets, static_blocked_sets
+from cachenet.errors import LoopError
 from cachenet.flow import T_ZERO, Strategy, dag_levels, solve_dense, solve_traffic
 from cachenet.gp import GPConfig, gp_step, message_counts, run_gp
-from cachenet.marginals import compute_marginals
+from cachenet.marginals import PHI_ACTIVE, compute_marginals
 from cachenet.network import Demand, Topology
 from cachenet.scenarios import TABLE_PRESETS, generate_scenario
 
@@ -16,6 +17,7 @@ from helpers import (
     appendix_loop_fixture,
     line_topology,
     random_loopfree_instance,
+    reference_dynamic_blocked_sets,
     reference_gp_step,
     symmetric_costs,
 )
@@ -258,3 +260,92 @@ class TestGpStepMatchesLoop:
                 for pairs in (np.ones(strat.y.shape, dtype=bool),
                               rng.random(strat.y.shape) < 0.5):
                     self._check(top, dem, cost, strat, blocked, pairs, 0.05)
+
+
+class TestDynamicSetsMatchLoop:
+    """The all-items array Kahn sort gives the per-item heap loop's masks,
+    and raises LoopError naming the same item."""
+
+    @staticmethod
+    def _relabel(rng, top, dem, strat):
+        """The same instance under a random node relabelling, so the
+        lowest-id order is not just the DAG order of the generator."""
+        p = rng.permutation(top.num_nodes)
+        new = Topology(top.num_nodes, [(p[i], p[j]) for i, j in top.links])
+        moved = [new.edge_index[(p[i], p[j])] for i, j in top.links]
+        phi = np.zeros_like(strat.phi)
+        phi[:, moved] = strat.phi
+        y = np.zeros_like(strat.y)
+        y[:, p] = strat.y
+        rates = np.zeros_like(dem.rates)
+        rates[:, p] = dem.rates
+        servers = [{int(p[s]) for s in ss} for ss in dem.servers]
+        return (new, Demand(dem.num_items, servers, rates),
+                Strategy(new, dem.num_items, phi, y))
+
+    @staticmethod
+    def _agree(top, dem, strat):
+        """Compare the two; returns False when both raise LoopError."""
+        try:
+            ref = reference_dynamic_blocked_sets(top, dem, strat)
+        except LoopError as exc:
+            with pytest.raises(LoopError) as got:
+                dynamic_blocked_sets(top, dem, strat)
+            assert str(got.value) == str(exc)
+            return False
+        got = dynamic_blocked_sets(top, dem, strat)
+        assert np.array_equal(got.mask, ref.mask)
+        return True
+
+    def test_relabelled_random_instances(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(80):
+            top, dem, _, strat = random_loopfree_instance(rng, max_nodes=9,
+                                                          max_items=4)
+            top, dem, strat = self._relabel(rng, top, dem, strat)
+            assert self._agree(top, dem, strat)
+            # items with no active link, nodes with no active link, and
+            # fractions on either side of PHI_ACTIVE
+            sparse = strat.copy()
+            sparse.phi[rng.random(dem.num_items) < 0.3] = 0.0
+            lone = rng.random(top.num_nodes) < 0.3
+            sparse.phi[:, lone[top.src] | lone[top.dst]] = 0.0
+            edge = (sparse.phi > 0) & (rng.random(sparse.phi.shape) < 0.3)
+            sparse.phi[edge] = rng.choice([PHI_ACTIVE, 2 * PHI_ACTIVE],
+                                          size=int(edge.sum()))
+            assert self._agree(top, dem, sparse)
+        zero = Strategy(top, dem.num_items)
+        assert self._agree(top, dem, zero)
+
+    def test_gp_states_on_grid25(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        for periods in (1, 15, 40):
+            traj = run_gp(top, dem, cost, GPConfig(
+                alpha=0.05, max_periods=periods, tol=1e-12,
+                blocked_mode="dynamic",
+            ))
+            assert self._agree(top, dem, traj.strategy)
+
+    def test_injected_cycles_name_the_same_item(self):
+        rng = np.random.default_rng(99)
+        raised = 0
+        for _ in range(60):
+            top, dem, _, strat = random_loopfree_instance(rng, max_nodes=9,
+                                                          max_items=4)
+            top, dem, strat = self._relabel(rng, top, dem, strat)
+            for k in np.nonzero(rng.random(dem.num_items) < 0.5)[0]:
+                active = np.nonzero(strat.phi[k] > PHI_ACTIVE)[0]
+                e = int(rng.choice(active))
+                if rng.random() < 0.5:
+                    strat.phi[k, top.rev[e]] = 0.3      # two-node cycle
+                    continue
+                # a longer cycle: an active path a -> b -> c closed by (c, a)
+                a, b = int(top.src[e]), int(top.dst[e])
+                for f in top.out_edges[b]:
+                    back = top.edge_index.get((int(top.dst[f]), a))
+                    if strat.phi[k, f] > PHI_ACTIVE and back is not None:
+                        strat.phi[k, back] = 0.3
+                        break
+            raised += not self._agree(top, dem, strat)
+        assert raised > 20
