@@ -1,18 +1,19 @@
 """Loop prevention via blocked next-hop sets.
 
 Static sets come from per-item shortest distances to the nearest designated
-server (a fixed DAG per item); dynamic sets come from a topological total
-order of the current positive-phi DAG, recomputed every period.
+server (a fixed DAG per item), found by one Bellman-Ford relaxation over all
+items at once; dynamic sets come from a topological total order of the
+current positive-phi DAG, recomputed every period.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DisconnectedDemandError, LoopError
+from .flow import fold_out_links
 from .marginals import PHI_ACTIVE
 
 
@@ -36,85 +37,67 @@ def server_distances(topology, demand, weights):
 
     ``weights[e]`` prices forwarding over link e; responses travel the
     reverse link, so callers pass the reverse-direction marginal when the
-    response cost is what matters.  Multi-source Dijkstra per item.
+    response cost is what matters.  Bellman-Ford on all items at once: each
+    round sets dist_j = min(dist_j, min over links (i, j) of dist_i +
+    w(i, j)), until a round changes nothing (at most V rounds).  With
+    nonnegative weights this and a Dijkstra search both end at each node's
+    least path sum, added up from the server outward, so they agree bit for
+    bit.
     """
     C, V = demand.num_items, topology.num_nodes
-    dist = np.full((C, V), np.inf)
-    for k in range(C):
-        heap = [(0.0, s) for s in sorted(demand.servers[k])]
-        heapq.heapify(heap)
-        dk = dist[k]
-        for _, s in heap:
-            dk[s] = 0.0
-        while heap:
-            d, i = heapq.heappop(heap)
-            if d > dk[i]:
-                continue
-            # j routing via i receives its response over link (i, j):
-            # dist_j = dist_i + w(i, j)
-            for e in topology.out_edges[i]:
-                j = topology.dst[e]
-                w = weights[e]
-                if d + w < dk[j]:
-                    dk[j] = d + w
-                    heapq.heappush(heap, (d + w, j))
-        if not np.isfinite(dk).all():
-            missing = [i for i in range(V) if not np.isfinite(dk[i])]
-            raise DisconnectedDemandError(
-                f"nodes {missing} cannot reach a server of item {k}"
-            )
+    src, dst = topology.src, topology.dst
+    dist = np.where(demand.server_mask, 0.0, np.inf)
+    for _ in range(V):
+        # j routing via i receives its response over link (i, j)
+        new = fold_out_links(dst, dist[:, src] + weights, np.minimum, dist.copy())
+        if np.array_equal(new, dist):
+            break
+        dist = new
+    unreached = np.isinf(dist)
+    if unreached.any():
+        k = int(np.argmax(unreached.any(axis=1)))
+        raise DisconnectedDemandError(
+            f"nodes {np.nonzero(unreached[k])[0].tolist()} cannot reach a "
+            f"server of item {k}"
+        )
     return dist
 
 
-def static_blocked_sets(topology, demand, cost=None, weights=None):
+def static_blocked_sets(topology, demand, cost):
     """Distance-DAG blocked sets, fixed for the whole run.
 
     Link (i, j) is unblocked for item k iff j is strictly closer to a server
     of k, with equal distances tie-broken by admitting (i, j) iff id(j) <
-    id(i).  The unblocked graph per item is acyclic and, with positive
-    weights, every node keeps a monotone path to a server.
+    id(i); distances use the zero-flow marginals D'(0) as link weights.  An
+    unblocked link thus always leads to a strictly smaller (distance, id)
+    pair, so the unblocked graph per item is acyclic, and a walk over it
+    from any node ends at a server unless it meets a non-server node with
+    no unblocked out-link.  Raises DisconnectedDemandError if there is such
+    a dead end (possible with zero-weight links) or if some node cannot
+    reach a server at all.
     """
-    if weights is None:
-        if cost is None:
-            raise ValueError("need a cost model or explicit link weights")
-        weights = cost.link_deriv(np.zeros(topology.num_links))
-    dist = server_distances(topology, demand, weights)
-    C = demand.num_items
-    mask = np.ones((C, topology.num_links), dtype=bool)
+    dist = server_distances(topology, demand,
+                            cost.link_deriv(np.zeros(topology.num_links)))
     src, dst = topology.src, topology.dst
-    for k in range(C):
-        closer = dist[k, dst] < dist[k, src]
-        tie = (dist[k, dst] == dist[k, src]) & (dst < src)
-        mask[k] = ~(closer | tie)
-    blocked = BlockedSets(mode="static", mask=mask)
-    _check_reachability(topology, demand, blocked)
-    return blocked
+    d_src, d_dst = dist[:, src], dist[:, dst]
+    mask = ~((d_dst < d_src) | ((d_dst == d_src) & (dst < src)))
+    _check_reachability(topology, demand, mask)
+    return BlockedSets(mode="static", mask=mask)
 
 
-def _check_reachability(topology, demand, blocked):
-    """Every node must reach a designated server inside the unblocked graph."""
-    C, V = demand.num_items, topology.num_nodes
-    for k in range(C):
-        reached = [False] * V
-        stack = list(demand.servers[k])
-        for s in stack:
-            reached[s] = True
-        # walk unblocked links backwards: i reaches server via (i, j) if j does
-        in_by_dst = [[] for _ in range(V)]
-        for e in range(topology.num_links):
-            if not blocked.mask[k, e]:
-                in_by_dst[topology.dst[e]].append(topology.src[e])
-        while stack:
-            j = stack.pop()
-            for i in in_by_dst[j]:
-                if not reached[i]:
-                    reached[i] = True
-                    stack.append(i)
-        if not all(reached):
-            missing = [i for i in range(V) if not reached[i]]
-            raise DisconnectedDemandError(
-                f"nodes {missing} have no unblocked path to a server of item {k}"
-            )
+def _check_reachability(topology, demand, mask):
+    """Every node must reach a designated server inside the unblocked graph;
+    for a (distance, id)-ordered mask, that is every non-server node keeping
+    an unblocked out-link."""
+    n_out = fold_out_links(topology.src, (~mask).astype(int), np.add,
+                           np.zeros(demand.server_mask.shape, dtype=int))
+    dead = (n_out == 0) & ~demand.server_mask
+    if dead.any():
+        k = int(np.argmax(dead.any(axis=1)))
+        raise DisconnectedDemandError(
+            f"nodes {np.nonzero(dead[k])[0].tolist()} have no unblocked path "
+            f"to a server of item {k}"
+        )
 
 
 def dynamic_blocked_sets(topology, demand, strategy):

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import IllRoutedError
 from .flow import Strategy, dag_levels, sweep_forward, sweep_reverse
-from .marginals import server_mask
 
 
 class FixedRoutingInstance:
@@ -58,7 +57,7 @@ class FixedRoutingInstance:
         hop_k, self._hop_link = np.nonzero(hop)
         self._hop_src = hop_k * V + top.src[self._hop_link]
         self._hop_dst = hop_k * V + top.dst[self._hop_link]
-        self._servers = server_mask(top, dem)
+        self._servers = dem.server_mask
         reached = sweep_forward(self._levels, hop.astype(float), dem.rates) > 0
         stranded = reached & ~forwards & ~self._servers
         if stranded.any():

@@ -87,21 +87,15 @@ def validate_strategy(topology, demand, strategy, tol=1e-9):
             mag = max(-low[k, idx], high[k, idx])
             violations.append(("box", (name, int(idx), int(k)), float(mag)))
 
-    # conservation: sum of phi out of node i plus y, per item
+    # conservation: sum of phi out of node i plus y, per item; servers are
+    # forced to y = 0 and no forwarding.  Listed by item, node, then kind.
     out_sum = fold_out_links(topology.src, phi, np.add, np.zeros_like(y))
-    total = out_sum + y
-    for k in range(demand.num_items):
-        for i in range(topology.num_nodes):
-            if i in demand.servers[k]:
-                # servers are forced to y = 0 and no forwarding
-                if y[k, i] > tol:
-                    violations.append(("server_cache", (i, k), float(y[k, i])))
-                if out_sum[k, i] > tol:
-                    violations.append(("server_forward", (i, k), float(out_sum[k, i])))
-            else:
-                err = abs(total[k, i] - 1.0)
-                if err > tol:
-                    violations.append(("conservation", (i, k), float(err)))
+    servers = demand.server_mask[:, :, None]
+    mags = np.stack([y, out_sum, np.abs(out_sum + y - 1.0)], axis=-1)
+    bad = np.where(servers, [True, True, False], [False, False, True]) & (mags > tol)
+    kinds = ("server_cache", "server_forward", "conservation")
+    for k, i, kind in zip(*np.nonzero(bad)):
+        violations.append((kinds[kind], (int(i), int(k)), float(mags[k, i, kind])))
 
     worst = max((m for _, _, m in violations), default=0.0)
     return ValidationReport(passed=worst <= tol, worst=worst, violations=violations)

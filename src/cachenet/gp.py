@@ -16,15 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import dynamic_blocked_sets, static_blocked_sets
+from .blocking import dynamic_blocked_sets, server_distances, static_blocked_sets
 from .errors import CacheNetError, ConfigurationError
 from .flow import T_ZERO, Strategy, fold_out_links, solve_traffic
-from .marginals import (
-    PHI_ACTIVE,
-    compute_marginals,
-    server_mask,
-    vectorized_residuals,
-)
+from .marginals import PHI_ACTIVE, compute_marginals, vectorized_residuals
 
 
 # a period whose cost exceeds this multiple of the first period's cost
@@ -91,7 +86,7 @@ def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):
             edge_vals = as_float
         return fold_out_links(src, edge_vals, ufunc, np.full((C, V), start, dtype=float))
 
-    pairs = pairs & ~server_mask(topology, demand) & (per_node(unblocked) > 0)
+    pairs = pairs & ~demand.server_mask & (per_node(unblocked) > 0)
     idle = pairs & (flow.t <= T_ZERO)
     busy = pairs & ~idle
     idle_e, busy_e = idle[:, src], busy[:, src]
@@ -171,46 +166,57 @@ def message_counts(trajectory):
     return [r.messages for r in trajectory.records]
 
 
+def _sp_next_links(topology, demand, cost):
+    """(C, V) link index of each (item, node)'s shortest-path next hop, -1
+    at designated servers.
+
+    The next hop of i is the first out-link (i, j), in link order, whose
+    dist_j + D'_ji(0) beats the best value so far by more than 1e-15;
+    dist are the server distances at the zero-flow marginals.  One pass per
+    out-link slot (at most the maximum degree) handles every item and node
+    at once.
+    """
+    C, V = demand.num_items, topology.num_nodes
+    src, dst = topology.src, topology.dst
+    weights = cost.link_deriv(np.zeros(topology.num_links))
+    dist = server_distances(topology, demand, weights)
+    # slot[e]: position of link e among its source's out-links
+    slot = np.arange(topology.num_links) - np.searchsorted(src, src)
+    best = np.full((C, V), -1)
+    best_val = np.full((C, V), np.inf)
+    for s in range(int(slot.max(initial=-1)) + 1):
+        e = np.nonzero(slot == s)[0]
+        i = src[e]
+        val = dist[:, dst[e]] + weights[topology.rev[e]]
+        take = val < best_val[:, i] - 1e-15
+        best_val[:, i] = np.where(take, val, best_val[:, i])
+        best[:, i] = np.where(take, e, best[:, i])
+    best[demand.server_mask] = -1
+    return best
+
+
 def shortest_path_strategy(topology, demand, cost):
     """Single-next-hop shortest-path routing with y = 0 (the default start).
 
-    Uses zero-flow marginals as link weights; next hop of i is the neighbor
-    minimizing dist_j + D'_ji(0) (response-direction pricing), ties to the
-    lowest id.
+    Uses zero-flow marginals as link weights.  A non-server node i scans its
+    neighbors j in id order and moves its next hop to j when dist_j +
+    D'_ji(0) (response-direction pricing) is below the value of the hop
+    kept so far by more than 1e-15, so a near-tie keeps the lower id.
     """
-    from .blocking import server_distances
-
-    weights = cost.link_deriv(np.zeros(topology.num_links))
-    dist = server_distances(topology, demand, weights)
+    best = _sp_next_links(topology, demand, cost)
     strat = Strategy(topology, demand.num_items)
-    for k in range(demand.num_items):
-        for i in range(topology.num_nodes):
-            if i in demand.servers[k]:
-                continue
-            best, best_val = None, np.inf
-            for e in topology.out_edges[i]:
-                j = topology.dst[e]
-                val = dist[k, j] + weights[topology.rev[e]]
-                if val < best_val - 1e-15 or (
-                    abs(val - best_val) <= 1e-15 and (best is None or j < topology.dst[best])
-                ):
-                    best, best_val = e, val
-            strat.phi[k, best] = 1.0
+    k, i = np.nonzero(best >= 0)
+    strat.phi[k, best[k, i]] = 1.0
     return strat
 
 
 def sp_next_hops(topology, demand, cost):
-    """Next-hop table of the shortest-path strategy (for fixed-routing use)."""
-    strat = shortest_path_strategy(topology, demand, cost)
-    nh = {}
-    for k in range(demand.num_items):
-        for i in range(topology.num_nodes):
-            if i in demand.servers[k]:
-                continue
-            for e in topology.out_edges[i]:
-                if strat.phi[k, e] > 0:
-                    nh[(i, k)] = int(topology.dst[e])
-    return nh
+    """Next-hop table {(node, item): neighbor} of the shortest-path strategy
+    (for fixed-routing use), ordered by item, then node."""
+    best = _sp_next_links(topology, demand, cost)
+    k, i = np.nonzero(best >= 0)
+    return dict(zip(zip(i.tolist(), k.tolist()),
+                    topology.dst[best[k, i]].tolist()))
 
 
 def count_async_messages(topology, demand, strategy, blocked, node):
@@ -288,7 +294,6 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
     initial_cost = None
     converged = False
     blocked = None
-    servers = server_mask(topology, demand)
     for period in range(config.max_periods):
         blocked = static if static is not None else dynamic_blocked_sets(
             topology, demand, strategy
@@ -296,7 +301,7 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
         flow = solve_traffic(topology, demand, strategy, cost)
         marg = compute_marginals(topology, demand, strategy, flow, cost, blocked)
         pair_resid, _, _ = vectorized_residuals(
-            topology, demand, strategy, flow, marg, blocked, servers
+            topology, demand, strategy, flow, marg, blocked
         )
         worst = float(pair_resid.max()) if pair_resid.size else 0.0
         # the marginal computation already leveled each item's positive-phi

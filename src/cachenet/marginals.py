@@ -128,7 +128,7 @@ def check_kkt(topology, demand, strategy, cost, tol=1e-6, flow=None, marg=None):
         marg = compute_marginals(topology, demand, strategy, flow, cost)
     C, V = demand.num_items, topology.num_nodes
     src, Bp = topology.src, marg.cache_deriv
-    servers = server_mask(topology, demand)
+    servers = demand.server_mask
     route = flow.t[:, src] * marg.delta_link
     lam = fold_out_links(src, route, np.minimum, np.tile(Bp, (C, 1)))
     lam[servers] = 0.0
@@ -155,16 +155,8 @@ def check_kkt(topology, demand, strategy, cost, tol=1e-6, flow=None, marg=None):
     )
 
 
-def server_mask(topology, demand):
-    mask = np.zeros((demand.num_items, topology.num_nodes), dtype=bool)
-    for k in range(demand.num_items):
-        for s in demand.servers[k]:
-            mask[k, s] = True
-    return mask
-
-
 def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
-                         servers=None, cache_caps=None):
+                         cache_caps=None):
     """All modified-condition residual arrays at once.
 
     Returns (pair_resid, parts, delta) where pair_resid[k, i] is the worst
@@ -179,13 +171,11 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
     C, V = demand.num_items, topology.num_nodes
     src = topology.src
     phi, y, t = strategy.phi, strategy.y, flow.t
-    if servers is None:
-        servers = server_mask(topology, demand)
     blocked_mask = blocked.mask if blocked is not None else None
     unblocked = (
         np.ones_like(phi, dtype=bool) if blocked_mask is None else ~blocked_mask
     )
-    conds = ~servers                      # pairs that carry conditions
+    conds = ~demand.server_mask           # pairs that carry conditions
     delta = marg.delta_min
     capped = np.zeros((C, V), dtype=bool)
     if cache_caps:

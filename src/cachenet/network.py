@@ -8,6 +8,7 @@ servers, plus exogenous per-(node, item) request rates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +72,8 @@ class Demand:
 
     ``servers[k]`` is the nonempty set of designated servers of item k; rates
     is a (num_items, num_nodes) array of nonnegative request rates in request
-    packets per second.  Items have unit size.
+    packets per second.  Items have unit size.  ``server_mask[k, i]`` is
+    True iff i is a designated server of item k.
     """
 
     def __init__(self, num_items, servers, rates, topology=None):
@@ -90,7 +92,19 @@ class Demand:
         if (rates < 0).any():
             raise StructuralError("request rates must be nonnegative")
         self.rates = _frozen(rates)
-        self.num_nodes = rates.shape[1]
+        self.num_nodes = V = rates.shape[1]
+        item = np.repeat(np.arange(num_items), [len(s) for s in self.servers])
+        node = np.fromiter(itertools.chain.from_iterable(self.servers), dtype=int,
+                           count=len(item))
+        outside = (node < 0) | (node >= V)
+        if outside.any():
+            n = int(np.argmax(outside))
+            raise StructuralError(
+                f"item {item[n]} has server {node[n]} outside nodes 0..{V - 1}"
+            )
+        mask = np.zeros((num_items, V), dtype=bool)
+        mask[item, node] = True
+        self.server_mask = _frozen(mask)
 
     @staticmethod
     def _num_nodes(rates, topology):

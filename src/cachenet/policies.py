@@ -320,6 +320,18 @@ class MinCostDeploymentPolicy(EvictionPolicy):
         return 0
 
 
+def _costgreedy_pick(miss, cached, servers):
+    """(item, node) index of the largest positive miss cost, or None.
+
+    ``miss``, ``cached`` and ``servers`` are (C, V); cached pairs and
+    servers are never picked, and a tie goes to the first pair in
+    node-major order.
+    """
+    vals = np.where(~cached & ~servers & (miss > 0), miss, 0.0)
+    i, k = divmod(int(np.argmax(vals.T)), vals.shape[0])   # first maximum
+    return (k, i) if vals[k, i] > 0 else None
+
+
 class CostGreedyPolicy(SpRoutingMixin, SimPolicy):
     """Greedily pins y_i(k) = 1 for the (node, item) pair with the largest
     single-item miss cost each period."""
@@ -329,33 +341,23 @@ class CostGreedyPolicy(SpRoutingMixin, SimPolicy):
     def setup(self, scenario, sim):
         super().setup(scenario, sim)
         self._setup_routing(scenario)
-        V = scenario.topology.num_nodes
-        self.cache_sets = [set() for _ in range(V)]
+        self.cached = np.zeros(scenario.demand.server_mask.shape, dtype=bool)
         self._last_miss = None
 
     def is_hit(self, node, item):
-        return item in self.cache_sets[node]
+        return bool(self.cached[item, node])
 
     def on_update(self, period, measured_F, measured_arrivals):
         cur = self.sim.miss_cost_item.copy()
         delta = cur if self._last_miss is None else cur - self._last_miss
         self._last_miss = cur
-        best, best_val = None, 0.0
-        C, V = delta.shape
-        for i in range(V):
-            for k in range(C):
-                if k in self.cache_sets[i]:
-                    continue
-                if i in self.scenario.demand.servers[k]:
-                    continue
-                if delta[k, i] > best_val:
-                    best, best_val = (i, k), delta[k, i]
-        if best is not None:
-            self.cache_sets[best[0]].add(best[1])
+        pick = _costgreedy_pick(delta, self.cached, self.scenario.demand.server_mask)
+        if pick is not None:
+            self.cached[pick] = True
         return 0
 
     def cache_occupancy(self):
-        return np.array([len(s) for s in self.cache_sets], dtype=float)
+        return self.cached.sum(axis=0).astype(float)
 
 
 def make_policy(name, **kw):
@@ -396,36 +398,28 @@ def flow_costgreedy(scenario, max_steps=None):
     top, dem, cost = scenario.topology, scenario.demand, scenario.cost
     inst = FixedRoutingInstance(top, dem, cost, sp_next_hops(top, dem, cost))
     prices = cost.link_deriv(np.zeros(top.num_links))[top.rev]
-    cache_sets = [set() for _ in range(top.num_nodes)]
+    cached = np.zeros(dem.server_mask.shape, dtype=bool)
     max_steps = max_steps or top.num_nodes * dem.num_items
 
     def evaluate():
-        y = np.zeros((dem.num_items, top.num_nodes))
-        for i, items in enumerate(cache_sets):
-            y[list(items), i] = 1.0
+        y = cached.astype(float)
         t, F, Y = inst.flows(y)
         total = float(cost.link_cost(F).sum()) + float(cost.cache_cost(Y).sum())
         return total, inst.saved_cost(y, t, prices) * (1.0 - y)
 
     best_cost, miss = evaluate()
-    best_sets = [set(s) for s in cache_sets]
+    best_cached = cached.copy()
     costs = [best_cost]
     for _ in range(max_steps):
-        cand, cand_val = None, 0.0
-        C, V = miss.shape
-        for i in range(V):
-            for k in range(C):
-                if k in cache_sets[i] or i in dem.servers[k]:
-                    continue
-                if miss[k, i] > cand_val:
-                    cand, cand_val = (i, k), miss[k, i]
-        if cand is None:
+        pick = _costgreedy_pick(miss, cached, dem.server_mask)
+        if pick is None:
             break
-        cache_sets[cand[0]].add(cand[1])
+        cached[pick] = True
         total, miss = evaluate()
         costs.append(total)
         if total < best_cost:
-            best_cost, best_sets = total, [set(s) for s in cache_sets]
+            best_cost, best_cached = total, cached.copy()
+    best_sets = [set(np.nonzero(col)[0].tolist()) for col in best_cached.T]
     return best_cost, best_sets, costs
 
 

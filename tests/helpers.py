@@ -5,7 +5,7 @@ import heapq
 import numpy as np
 
 from cachenet.blocking import BlockedSets
-from cachenet.errors import CacheNetError, LoopError
+from cachenet.errors import CacheNetError, DisconnectedDemandError, LoopError
 from cachenet.flow import T_ZERO, Strategy, solve_traffic
 from cachenet.marginals import PHI_ACTIVE, compute_marginals
 from cachenet.network import (
@@ -355,3 +355,150 @@ def reference_kkt(topology, demand, strategy, cost, tol=1e-6, flow=None,
                     violations.append((("route", topology.links[e], k), float(resid)))
     worst = max((m for _, m in violations), default=0.0)
     return lam, worst, violations
+
+
+def reference_server_distances(topology, demand, weights):
+    """Loop form of ``blocking.server_distances``: one multi-source heap
+    Dijkstra per item."""
+    C, V = demand.num_items, topology.num_nodes
+    dist = np.full((C, V), np.inf)
+    for k in range(C):
+        heap = [(0.0, s) for s in sorted(demand.servers[k])]
+        heapq.heapify(heap)
+        dk = dist[k]
+        for _, s in heap:
+            dk[s] = 0.0
+        while heap:
+            d, i = heapq.heappop(heap)
+            if d > dk[i]:
+                continue
+            for e in topology.out_edges[i]:
+                j = topology.dst[e]
+                w = weights[e]
+                if d + w < dk[j]:
+                    dk[j] = d + w
+                    heapq.heappush(heap, (d + w, j))
+        if not np.isfinite(dk).all():
+            missing = [i for i in range(V) if not np.isfinite(dk[i])]
+            raise DisconnectedDemandError(
+                f"nodes {missing} cannot reach a server of item {k}"
+            )
+    return dist
+
+
+def reference_static_blocked_sets(topology, demand, cost):
+    """Loop form of ``blocking.static_blocked_sets``: a per-item mask and a
+    per-item reachability search backwards from the servers."""
+    weights = cost.link_deriv(np.zeros(topology.num_links))
+    dist = reference_server_distances(topology, demand, weights)
+    C, V = demand.num_items, topology.num_nodes
+    src, dst = topology.src, topology.dst
+    mask = np.ones((C, topology.num_links), dtype=bool)
+    for k in range(C):
+        closer = dist[k, dst] < dist[k, src]
+        tie = (dist[k, dst] == dist[k, src]) & (dst < src)
+        mask[k] = ~(closer | tie)
+    for k in range(C):
+        reached = [False] * V
+        stack = list(demand.servers[k])
+        for s in stack:
+            reached[s] = True
+        # walk unblocked links backwards: i reaches a server via (i, j) if j does
+        in_by_dst = [[] for _ in range(V)]
+        for e in range(topology.num_links):
+            if not mask[k, e]:
+                in_by_dst[dst[e]].append(src[e])
+        while stack:
+            j = stack.pop()
+            for i in in_by_dst[j]:
+                if not reached[i]:
+                    reached[i] = True
+                    stack.append(i)
+        if not all(reached):
+            missing = [i for i in range(V) if not reached[i]]
+            raise DisconnectedDemandError(
+                f"nodes {missing} have no unblocked path to a server of item {k}"
+            )
+    return BlockedSets(mode="static", mask=mask)
+
+
+def reference_shortest_path_strategy(topology, demand, cost):
+    """Loop form of ``gp.shortest_path_strategy``: a scan of each non-server
+    (item, node)'s out-links."""
+    weights = cost.link_deriv(np.zeros(topology.num_links))
+    dist = reference_server_distances(topology, demand, weights)
+    strat = Strategy(topology, demand.num_items)
+    for k in range(demand.num_items):
+        for i in range(topology.num_nodes):
+            if i in demand.servers[k]:
+                continue
+            best, best_val = None, np.inf
+            for e in topology.out_edges[i]:
+                j = topology.dst[e]
+                val = dist[k, j] + weights[topology.rev[e]]
+                if val < best_val - 1e-15 or (
+                    abs(val - best_val) <= 1e-15
+                    and (best is None or j < topology.dst[best])
+                ):
+                    best, best_val = e, val
+            strat.phi[k, best] = 1.0
+    return strat
+
+
+def reference_sp_next_hops(topology, demand, cost):
+    """Loop form of ``gp.sp_next_hops``: rescans the reference strategy."""
+    strat = reference_shortest_path_strategy(topology, demand, cost)
+    nh = {}
+    for k in range(demand.num_items):
+        for i in range(topology.num_nodes):
+            if i in demand.servers[k]:
+                continue
+            for e in topology.out_edges[i]:
+                if strat.phi[k, e] > 0:
+                    nh[(i, k)] = int(topology.dst[e])
+    return nh
+
+
+def reference_validate_strategy(topology, demand, strategy, tol=1e-9):
+    """Loop form of ``flow.validate_strategy``; returns (passed, worst,
+    violations)."""
+    phi, y = strategy.phi, strategy.y
+    violations = []
+    for arr, name in ((phi, "phi"), (y, "y")):
+        low = np.minimum(arr, 0.0)
+        high = np.maximum(arr - 1.0, 0.0)
+        for k, idx in zip(*np.nonzero((low < -tol) | (high > tol))):
+            mag = max(-low[k, idx], high[k, idx])
+            violations.append(("box", (name, int(idx), int(k)), float(mag)))
+    out_sum = np.zeros_like(y)
+    for e in range(topology.num_links):
+        out_sum[:, topology.src[e]] += phi[:, e]
+    total = out_sum + y
+    for k in range(demand.num_items):
+        for i in range(topology.num_nodes):
+            if i in demand.servers[k]:
+                # servers are forced to y = 0 and no forwarding
+                if y[k, i] > tol:
+                    violations.append(("server_cache", (i, k), float(y[k, i])))
+                if out_sum[k, i] > tol:
+                    violations.append(("server_forward", (i, k), float(out_sum[k, i])))
+            else:
+                err = abs(total[k, i] - 1.0)
+                if err > tol:
+                    violations.append(("conservation", (i, k), float(err)))
+    worst = max((m for _, _, m in violations), default=0.0)
+    return worst <= tol, worst, violations
+
+
+def reference_costgreedy_pick(miss, cached, servers):
+    """Loop form of ``policies._costgreedy_pick``: node-major scan for the
+    first strict maximum above 0."""
+    best, best_val = None, 0.0
+    C, V = miss.shape
+    for i in range(V):
+        for k in range(C):
+            if cached[k, i] or servers[k, i]:
+                continue
+            if miss[k, i] > best_val:
+                best, best_val = (k, i), miss[k, i]
+    return best

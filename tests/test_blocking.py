@@ -83,6 +83,18 @@ class TestStaticSets:
         with pytest.raises(DisconnectedDemandError):
             static_blocked_sets(top, dem, cost=cost)
 
+    def test_zero_weight_dead_end_raises(self):
+        # 1 - 2 costs nothing, so 1 and 2 tie at distance 1 from server 0;
+        # the tie admits only 2 -> 1, which leaves 1 without an unblocked link
+        top = Topology(3, [(0, 2), (2, 0), (1, 2), (2, 1)])
+        dem = Demand(1, [{0}], np.array([[0.0, 1.0, 0.0]]))
+        cost = symmetric_costs(
+            top, {frozenset((0, 2)): 1.0, frozenset((1, 2)): 0.0}, [1.0] * 3
+        )
+        with pytest.raises(DisconnectedDemandError,
+                           match=r"nodes \[1\] have no unblocked path"):
+            static_blocked_sets(top, dem, cost=cost)
+
 
 class TestDynamicSets:
     def test_chain_order(self):

@@ -1,6 +1,9 @@
 """Experiment CLI: flags, CSV contracts, determinism, sweeps."""
 
+import yaml
+
 from cachenet.cli import main
+from cachenet.scenarios import ScenarioSpec, generate_scenario, scenario_to_document
 
 
 def read_csv(path):
@@ -142,3 +145,16 @@ class TestErrors:
     def test_topology_file_missing_path(self, tmp_path, capsys):
         rc = main(["--topology", "file", "--out", str(tmp_path / "e")])
         assert rc == 2
+
+    def test_scenario_file_server_out_of_range(self, tmp_path, capsys):
+        spec = ScenarioSpec("grid", (3, 3), 4, 8, 1.0, (1, 5), (0.05, 0.1),
+                            (5, 10))
+        doc = scenario_to_document(generate_scenario(spec, 1))
+        doc["servers"][0] = [99]
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["--scenario-file", str(path), "--algorithm", "gp",
+                   "--periods", "3", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "server 99" in err

@@ -17,7 +17,13 @@ from cachenet.network import (
     zero_costs,
 )
 
-from helpers import appendix_loop_fixture, line_topology, symmetric_costs
+from helpers import (
+    appendix_loop_fixture,
+    line_topology,
+    random_loopfree_instance,
+    reference_validate_strategy,
+    symmetric_costs,
+)
 
 
 def unit_chain(n=3, rate=1.0):
@@ -42,6 +48,19 @@ class TestTopology:
         top = line_topology(3)
         for e, (i, j) in enumerate(top.links):
             assert top.links[top.rev[e]] == (j, i)
+
+
+class TestDemand:
+    @pytest.mark.parametrize("server", [-1, 3])
+    def test_server_outside_nodes_rejected(self, server):
+        with pytest.raises(StructuralError, match="outside nodes 0..2"):
+            Demand(2, [{0}, {1, server}], np.ones((2, 3)))
+
+    def test_server_mask(self):
+        dem = Demand(2, [{2}, {0, 1}], np.ones((2, 3)))
+        assert dem.server_mask.tolist() == [[False, False, True],
+                                            [True, True, False]]
+        assert not dem.server_mask.flags.writeable
 
 
 class TestValidateStrategy:
@@ -76,6 +95,35 @@ class TestValidateStrategy:
         s = Strategy.from_dicts(top, 1, phi={(0, 1, 0): 0.5, (1, 2, 0): 1.0})
         rep = validate_strategy(top, dem, s)
         assert ("conservation", (0, 0), pytest.approx(0.5)) in rep.violations
+
+
+    def test_array_form_matches_loop_reference(self):
+        # random and perturbed strategies, server rows included: the same
+        # report, violations in the same order
+        rng = np.random.default_rng(31)
+        kinds = set()
+        for _ in range(40):
+            top, dem, _, strat = random_loopfree_instance(rng, max_nodes=8,
+                                                          max_items=4)
+            servers = [{top.num_nodes - 1} | set(
+                rng.choice(top.num_nodes, size=rng.integers(0, 2)).tolist())
+                for _ in range(dem.num_items)]
+            dem = Demand(dem.num_items, servers, dem.rates)
+            noisy = strat.copy()
+            for arr in (noisy.phi, noisy.y):
+                hit = rng.random(arr.shape) < 0.3
+                arr[hit] += rng.normal(0.0, 0.05, int(hit.sum()))
+            wild = Strategy(top, dem.num_items,
+                            rng.uniform(-0.2, 1.2, strat.phi.shape),
+                            rng.uniform(-0.2, 1.2, strat.y.shape))
+            for s in (strat, noisy, wild):
+                for tol in (1e-9, 0.03):
+                    rep = validate_strategy(top, dem, s, tol=tol)
+                    ref = reference_validate_strategy(top, dem, s, tol=tol)
+                    assert (rep.passed, rep.worst, rep.violations) == ref
+                    kinds.update(v[0] for v in rep.violations)
+        assert kinds == {"box", "server_cache", "server_forward",
+                         "conservation"}
 
 
 class TestSolveTraffic:

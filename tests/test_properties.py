@@ -5,12 +5,29 @@ import itertools
 import numpy as np
 import pytest
 
-from cachenet.blocking import dynamic_blocked_sets, static_blocked_sets
-from cachenet.errors import LoopError
+from cachenet.blocking import (
+    dynamic_blocked_sets,
+    server_distances,
+    static_blocked_sets,
+)
+from cachenet.errors import DisconnectedDemandError, LoopError
 from cachenet.flow import T_ZERO, Strategy, dag_levels, solve_dense, solve_traffic
-from cachenet.gp import GPConfig, gp_step, message_counts, run_gp
+from cachenet.gp import (
+    GPConfig,
+    gp_step,
+    message_counts,
+    run_gp,
+    shortest_path_strategy,
+    sp_next_hops,
+)
 from cachenet.marginals import PHI_ACTIVE, compute_marginals
-from cachenet.network import Demand, Topology
+from cachenet.network import (
+    CostModel,
+    Demand,
+    Topology,
+    linear_cache_costs,
+    linear_link_costs,
+)
 from cachenet.scenarios import TABLE_PRESETS, generate_scenario
 
 from helpers import (
@@ -19,6 +36,10 @@ from helpers import (
     random_loopfree_instance,
     reference_dynamic_blocked_sets,
     reference_gp_step,
+    reference_server_distances,
+    reference_shortest_path_strategy,
+    reference_sp_next_hops,
+    reference_static_blocked_sets,
     symmetric_costs,
 )
 
@@ -348,4 +369,89 @@ class TestDynamicSetsMatchLoop:
                         strat.phi[k, back] = 0.3
                         break
             raised += not self._agree(top, dem, strat)
+        assert raised > 20
+
+
+class TestShortestPathsMatchLoop:
+    """The all-items Bellman-Ford distances, the slot-wise next-hop scan and
+    the dead-end count give the heap Dijkstra's distances, the per-pair
+    scan's SP strategy and next hops, and the BFS-checked static masks."""
+
+    @staticmethod
+    def _item(fn, *args):
+        """The item a DisconnectedDemandError names, or None if fn returns."""
+        try:
+            fn(*args)
+        except DisconnectedDemandError as exc:
+            return int(str(exc).rsplit(" ", 1)[1])
+        return None
+
+    def _agree(self, top, dem, cost):
+        """Compare everything; returns False when both raise."""
+        w = cost.link_deriv(np.zeros(top.num_links))
+        item = self._item(reference_server_distances, top, dem, w)
+        if item is not None:
+            with pytest.raises(DisconnectedDemandError) as got:
+                server_distances(top, dem, w)
+            with pytest.raises(DisconnectedDemandError) as ref:
+                reference_server_distances(top, dem, w)
+            assert str(got.value) == str(ref.value)
+            assert self._item(shortest_path_strategy, top, dem, cost) == item
+            assert self._item(static_blocked_sets, top, dem, cost) == item
+            return False
+        assert np.array_equal(server_distances(top, dem, w),
+                              reference_server_distances(top, dem, w))
+        assert np.array_equal(shortest_path_strategy(top, dem, cost).phi,
+                              reference_shortest_path_strategy(top, dem, cost).phi)
+        assert (list(sp_next_hops(top, dem, cost).items())
+                == list(reference_sp_next_hops(top, dem, cost).items()))
+        item = self._item(reference_static_blocked_sets, top, dem, cost)
+        assert self._item(static_blocked_sets, top, dem, cost) == item
+        if item is None:
+            assert np.array_equal(static_blocked_sets(top, dem, cost).mask,
+                                  reference_static_blocked_sets(top, dem, cost).mask)
+        return True
+
+    @staticmethod
+    def _tied_instance(rng, top, num_items):
+        """Weights from {0, 0.1, 0.2, 0.3} (ties and zero-weight links) and
+        one or two random servers per item."""
+        V = top.num_nodes
+        servers = [set(rng.choice(V, size=rng.integers(1, 3), replace=False)
+                       .tolist()) for _ in range(num_items)]
+        dem = Demand(num_items, servers, rng.uniform(0.0, 1.0, (num_items, V)))
+        d = rng.choice([0.0, 0.1, 0.2, 0.3], size=top.num_links)
+        cost = CostModel(link=linear_link_costs(d),
+                         cache=linear_cache_costs(np.ones(V)))
+        return dem, cost
+
+    @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
+    def test_presets(self, preset):
+        for seed in (1, 2, 3):
+            scen = generate_scenario(TABLE_PRESETS[preset], seed)
+            assert self._agree(scen.topology, scen.demand, scen.cost)
+
+    def test_random_tied_instances(self):
+        rng = np.random.default_rng(515)
+        dead_ends = 0
+        for _ in range(50):
+            top, dem, _, _ = random_loopfree_instance(rng, max_nodes=9,
+                                                      max_items=4)
+            dem, cost = self._tied_instance(rng, top, dem.num_items)
+            assert self._agree(top, dem, cost)
+            dead_ends += self._item(static_blocked_sets, top, dem, cost) is not None
+        assert 10 < dead_ends < 40      # masks compared on the rest
+
+    def test_disconnected_graphs_name_the_same_item(self):
+        rng = np.random.default_rng(616)
+        raised = 0
+        for _ in range(30):
+            # two random components side by side
+            a, _, _, _ = random_loopfree_instance(rng, max_nodes=5)
+            b, _, _, _ = random_loopfree_instance(rng, max_nodes=5)
+            n = a.num_nodes
+            top = Topology(n + b.num_nodes, list(a.links) +
+                           [(i + n, j + n) for i, j in b.links])
+            dem, cost = self._tied_instance(rng, top, int(rng.integers(1, 5)))
+            raised += not self._agree(top, dem, cost)
         assert raised > 20

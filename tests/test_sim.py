@@ -7,6 +7,7 @@ from cachenet.flow import Strategy, solve_traffic
 from cachenet.gp import shortest_path_strategy
 from cachenet.network import Demand
 from cachenet.policies import (
+    _costgreedy_pick,
     EvictionCache,
     EvictionPolicy,
     FrozenStrategyPolicy,
@@ -26,7 +27,7 @@ from cachenet.sim import (
 )
 from cachenet.scenarios import ScenarioSpec, generate_scenario
 
-from helpers import line_topology, symmetric_costs
+from helpers import line_topology, reference_costgreedy_pick, symmetric_costs
 from cachenet.network import Scenario
 
 
@@ -285,6 +286,34 @@ class TestBaselines:
         best, sets, costs = flow_costgreedy(scen)
         assert best <= t0
         assert best == min(costs)
+
+    def test_costgreedy_pick_matches_loop(self):
+        # few distinct values, so ties are common; cached pairs and servers
+        # may hold the largest value
+        rng = np.random.default_rng(12)
+        picked = 0
+        for _ in range(200):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+            miss = rng.choice([-1.0, 0.0, 0.5, 2.0, 3.0, np.nan], size=shape)
+            cached = rng.random(shape) < 0.3
+            servers = rng.random(shape) < 0.2
+            got = _costgreedy_pick(miss, cached, servers)
+            assert got == reference_costgreedy_pick(miss, cached, servers)
+            picked += got is not None
+        assert 50 < picked < 200
+
+    def test_costgreedy_policy_pins_one_pair_per_period(self):
+        spec = ScenarioSpec("grid", (2, 2), catalog=2, requests=3)
+        scen = generate_scenario(spec, seed=5)
+        pol = make_policy("costgreedy")
+        run = run_simulation(
+            scen, pol, SimSchedule(t_slot=2.0, slots_per_period=2, periods=4),
+            seed=5,
+        )
+        sizes = [r.total_cache_size for r in run.records]
+        assert all(0 <= b - a <= 1 for a, b in zip(sizes, sizes[1:]))
+        assert sizes[-1] >= 1
+        assert not (pol.cached & scen.demand.server_mask).any()
 
     def test_track_costs_pairs(self):
         scen = line_scenario(rate=1.0)
