@@ -52,11 +52,19 @@ class FixedRoutingInstance:
             raise IllRoutedError(
                 f"next-hop cycle for item {int(np.argmin(acyclic))}"
             )
-        self._hop = hop
-        # link of each next hop and the flat (item, node) indices of its ends
+        # link of each next hop, its flat (item, link) index and the flat
+        # (item, node) indices of its ends
         hop_k, self._hop_link = np.nonzero(hop)
+        self._hop_pair = hop_k * top.num_links + self._hop_link
         self._hop_src = hop_k * V + top.src[self._hop_link]
         self._hop_dst = hop_k * V + top.dst[self._hop_link]
+        # buffers reused by every call: phi (C, E), rewritten on the next
+        # hops only and zero elsewhere, and the two gathers of F's product,
+        # link-major (E, C) so that F sums each link's items along
+        # contiguous memory, in numpy's pairwise order
+        self._phi_buf = np.zeros((C, top.num_links))
+        self._t_dst = np.empty((top.num_links, C))
+        self._phi_rev = np.empty((top.num_links, C))
         self._servers = dem.server_mask
         reached = sweep_forward(self._levels, hop.astype(float), dem.rates) > 0
         stranded = reached & ~forwards & ~self._servers
@@ -66,8 +74,13 @@ class FixedRoutingInstance:
         self._baseline = None
 
     def _phi(self, y):
-        """Routing fractions pinned by y: phi = 1 - y on each next hop."""
-        return np.where(self._hop, 1.0 - y[:, self.topology.src], 0.0)
+        """Routing fractions pinned by y: phi = 1 - y on each next hop.
+
+        Written into the instance's buffer and returned without a copy, so
+        it is valid until the next call.
+        """
+        self._phi_buf.ravel()[self._hop_pair] = 1.0 - y.ravel()[self._hop_src]
+        return self._phi_buf
 
     # -- flow computation -------------------------------------------------
 
@@ -83,7 +96,9 @@ class FixedRoutingInstance:
         phi = self._phi(y)
         t = sweep_forward(self._levels, phi, self.demand.rates)
         # responses to requests over (i, j) return on link (j, i)
-        F = (t[:, top.dst] * phi[:, top.rev]).sum(axis=0)
+        prod = np.take(t.T, top.dst, axis=0, out=self._t_dst, mode="clip")
+        prod *= np.take(phi.T, top.rev, axis=0, out=self._phi_rev, mode="clip")
+        F = prod.sum(axis=1)
         Y = np.clip(y, 0.0, None).sum(axis=0)
         return t, F, Y
 
@@ -118,7 +133,8 @@ class FixedRoutingInstance:
         hop, zero elsewhere."""
         y = np.array(y, dtype=float)
         y[self._servers] = 0.0
-        return Strategy(self.topology, self.demand.num_items, self._phi(y), y)
+        return Strategy(self.topology, self.demand.num_items,
+                        self._phi(y).copy(), y)
 
 
 @dataclass

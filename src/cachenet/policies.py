@@ -72,14 +72,13 @@ class RelaxedStrategyPolicy(SimPolicy):
         raise NotImplementedError
 
     def _rebuild_bar_maps(self):
-        V = self.scenario.topology.num_nodes
-        self.bar_maps = [build_bar_map(self.strategy.y[:, i]) for i in range(V)]
+        self.bar_map = build_bar_map(self.strategy.y)   # one column per node
         self._theory = None
 
     def on_slot(self, period, slot):
-        for i in range(self.scenario.topology.num_nodes):
-            u = slot_uniform(self.sim.seed, i, period, slot)
-            self.x[:, i] = sample_decision(self.bar_maps[i], u)
+        u = [slot_uniform(self.sim.seed, i, period, slot)
+             for i in range(self.scenario.topology.num_nodes)]
+        self.x[:] = sample_decision(self.bar_map, u)
 
     def is_hit(self, node, item):
         return bool(self.x[item, node])

@@ -1,30 +1,42 @@
-"""Discrete-event packet-level simulator.
+"""Request-atomic packet-level simulator.
 
-Requests are generated per (node, item) as Poisson processes, forwarded hop
-by hop with token-based randomized forwarding, and terminate at a cache hit
-or a designated server; responses retrace the request path in reverse, and
-per-link response counts over monitor windows give the measured flows and
-costs.  Strategies are re-rounded into cache decisions at every slot start
-and updated by the active policy at every update slot (the last slot of a
-period).
+Requests arrive per (node, item) as Poisson processes.  Each slot draws its
+arrivals at once: the count from Poisson(Lambda * t_slot), where Lambda is
+the total request rate, each arrival's (node, item) pair from one
+categorical draw over the pairs with a positive rate, and its time as a
+sorted uniform.  Each arrival is then walked in one call: forwarded hop by
+hop with token-based randomized forwarding until a cache hit or a designated
+server, and its response retraces the path in reverse.  Per-link response
+counts over monitor windows give the measured flows and costs.  Strategies
+are re-rounded into cache decisions at every slot start and updated by the
+active policy at every update slot (the last slot of a period).
 
-Hop traversal takes a small fixed latency purely to order events; all costs
-are computed from counted flows, never from simulated latency.
+Only arrivals and the slot and window boundaries drive the loop; there is no
+event queue.  The fixed hop latency only stamps hops: hop h of a request
+that arrived at t0 (its response hops continue the count) is stamped
+t0 + h * hop_latency, and that stamp alone decides which monitor window the
+hop is counted in and whether it falls in a measured slot.  A hop stamped
+past the current window or slot waits in a small buffer until the loop
+reaches it.  A request whose next stamp reaches the end of the run stops
+there and counts as in flight.  A walk sees the caches and routing of the
+moment its request arrived.  All costs are computed from counted flows,
+never from simulated latency.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 N_TOKEN = 50
+FOLD_EVERY = 512   # arrivals walked between two folds of the per-hop lists
 
-GEN, REQ, RESP = 0, 1, 2
+# kinds of the hops a walk stamps past the current segment
+_VISIT, _RESPONSE, _UNROUTABLE = 0, 1, 2
 
 
 @dataclass
@@ -42,6 +54,8 @@ class SimSchedule:
             self.t_monitor = self.t_slot
         if self.t_monitor <= 0 or self.t_slot <= 0:
             raise ConfigurationError("slot and monitor intervals must be positive")
+        if self.hop_latency <= 0:
+            raise ConfigurationError("hop latency must be positive")
 
 
 def apportion_tokens(weights, n_tokens=N_TOKEN):
@@ -67,19 +81,25 @@ def apportion_tokens(weights, n_tokens=N_TOKEN):
 
 
 class TokenPool:
-    """Multiset of next-hop tokens, consumed per forwarded request."""
+    """Multiset of next-hop tokens, consumed per forwarded request.
 
-    __slots__ = ("tokens",)
+    The tokens are shuffled on the first draw after a refill and then
+    popped, so a refill's tokens come out in one random order.
+    """
+
+    __slots__ = ("tokens", "shuffled")
 
     def __init__(self):
         self.tokens = []
+        self.shuffled = True
 
     def draw(self, rng):
         toks = self.tokens
         if not toks:
             return None
-        idx = int(rng.integers(len(toks))) if len(toks) > 1 else 0
-        toks[idx], toks[-1] = toks[-1], toks[idx]
+        if not self.shuffled:
+            rng.shuffle(toks)
+            self.shuffled = True
         return toks.pop()
 
     def refill(self, counts):
@@ -87,6 +107,7 @@ class TokenPool:
         for j in sorted(counts):
             toks.extend([j] * counts[j])
         self.tokens = toks
+        self.shuffled = len(counts) < 2   # one next hop: any order will do
 
 
 @dataclass
@@ -122,7 +143,15 @@ class SimulationRun:
 
 
 class Simulator:
-    """Event-driven run of one scenario under one policy."""
+    """One run of one scenario under one policy.
+
+    The run is cut into segments by the window and slot boundaries.  Hops
+    stamped inside the current segment are appended to plain lists (the
+    response link, the (item, node) of a visit, the miss cost paid at a
+    node) and folded into the count arrays with ``np.bincount`` every
+    ``FOLD_EVERY`` arrivals and when the segment ends, before the
+    boundary's policy hooks run.
+    """
 
     def __init__(self, scenario, policy, schedule, seed, trace=None,
                  keep_flow_samples=False):
@@ -135,20 +164,37 @@ class Simulator:
         self.keep_flow_samples = keep_flow_samples
 
         top = scenario.topology
+        C, V = scenario.demand.num_items, top.num_nodes
         self.d_weights = scenario.cost.link_deriv(np.zeros(top.num_links))
         self.pools = {}
         self.window_counts = np.zeros(top.num_links)
         self.period_counts = np.zeros(top.num_links)
-        self.period_arrivals = np.zeros((scenario.demand.num_items, top.num_nodes))
+        self.period_arrivals = np.zeros((C, V))
         self.measure_active = True
         self.window_unroutable = 0
-        self.miss_cost = np.zeros(top.num_nodes)
-        self.miss_cost_item = np.zeros((scenario.demand.num_items, top.num_nodes))
+        self.miss_cost = np.zeros(V)
+        self.miss_cost_item = np.zeros((C, V))
         self.requests_issued = 0
         self.responses_delivered = 0
+        self.in_flight = 0
         self.unroutable_total = 0
         self.records = []
         self._pending_messages = 0
+
+        sched = schedule
+        horizon = sched.periods * sched.slots_per_period * sched.t_slot
+        self.n_windows = int(round(horizon / sched.t_monitor))
+        # nothing is stamped at or past the horizon or the last window's end
+        self.stop = min(horizon, self.n_windows * sched.t_monitor)
+        self.window_idx, self.window_end = 0, sched.t_monitor
+        self.slot_idx, self.slot_end = 0, sched.t_slot
+        self.seg_end = min(self.window_end, self.slot_end)
+        # the current segment's hops, and the hops stamped past it
+        self.seg_links = []      # response link of each response hop
+        self.seg_miss_at = []    # flat (item, node) it arrives at
+        self.seg_miss = []       # and the path cost paid to get there
+        self.seg_visits = []     # flat (item, node) of each request visit
+        self.pending = []        # (stamp, kind, a, b, c), stamped later
 
     # -- forwarding ------------------------------------------------------
 
@@ -172,142 +218,211 @@ class Simulator:
         options = self.policy.failsafe_neighbors(node, item)
         return options[0] if options else None
 
-    # -- event handlers ----------------------------------------------------
+    # -- the run -----------------------------------------------------------
 
     def run(self):
         sched = self.schedule
-        scen = self.scenario
-        top, dem = scen.topology, scen.demand
-        heap = []
-        seq = 0
-        for k in range(dem.num_items):
-            for i in range(top.num_nodes):
-                r = dem.rates[k, i]
-                if r > 0:
-                    t0 = self.rng.exponential(1.0 / r)
-                    heapq.heappush(heap, (t0, seq, GEN, i, k, None))
-                    seq += 1
-
-        horizon = sched.periods * sched.slots_per_period * sched.t_slot
-        n_windows = int(round(horizon / sched.t_monitor))
-        window_end = sched.t_monitor
-        window_idx = 0
-        slot_len = sched.t_slot
-        slot_end = slot_len
-        slot_idx = 0
-        self.policy.setup(scen, self)
+        dem = self.scenario.demand
+        rates = dem.rates.ravel()
+        pairs = np.flatnonzero(rates > 0)   # flat (item, node)
+        cum = np.cumsum(rates[pairs])
+        total = float(cum[-1]) if pairs.size else 0.0
+        V = self.scenario.topology.num_nodes
+        rng = self.rng
+        self.policy.setup(self.scenario, self)
         self.policy.on_slot(0, 0)
+        walk = self._walker()
 
-        while heap:
-            time, _, kind, a, b, c = heap[0]
-            if time >= horizon:
+        n_slots = sched.periods * sched.slots_per_period
+        stop = self.stop
+        for slot in range(n_slots if total > 0 else 0):
+            start = slot * sched.t_slot
+            if start >= stop:
                 break
-            while time >= min(window_end, slot_end):
-                if window_end <= slot_end:
-                    self._flush_window(window_idx, window_end)
-                    window_idx += 1
-                    window_end = (window_idx + 1) * sched.t_monitor
-                    if window_idx >= n_windows:
-                        break
-                else:
-                    slot_idx += 1
-                    self._slot_boundary(slot_idx)
-                    slot_end = (slot_idx + 1) * slot_len
-            if window_idx >= n_windows:
-                break
-            heapq.heappop(heap)
+            n = int(rng.poisson(total * sched.t_slot))
+            times = start + np.sort(rng.random(n)) * sched.t_slot
+            picks = pairs[np.searchsorted(cum, rng.random(n) * total,
+                                          side="right")]
+            n = int(np.searchsorted(times, stop))   # none issued past the end
+            self.requests_issued += n
+            item, node = np.divmod(picks[:n], V)
+            # a chunk of arrivals at a time, folding after each, keeps the
+            # per-hop lists short
+            for lo in range(0, n, FOLD_EVERY):
+                hi = lo + FOLD_EVERY
+                seg_end = self.seg_end
+                for t0, k, i in zip(times[lo:hi].tolist(), item[lo:hi].tolist(),
+                                    node[lo:hi].tolist()):
+                    if t0 >= seg_end:
+                        self._advance(t0)
+                        seg_end = self.seg_end
+                    walk(t0, k, i, seg_end)
+                self._fold()
 
-            if kind == GEN:
-                i, k = a, b
-                self.requests_issued += 1
-                nxt = time + self.rng.exponential(1.0 / dem.rates[k, i])
-                heapq.heappush(heap, (nxt, seq, GEN, i, k, None))
-                seq += 1
-                self._handle_request(heap, seq, time, k, [i])
-                seq += 1
-            elif kind == REQ:
-                self._handle_request(heap, seq, time, a, b)
-                seq += 1
-            else:  # RESP
-                k, path = a, b
-                pos, cum = c
-                self._count_response_hop(k, path, pos, cum, heap, seq, time)
-                seq += 1
-
-        in_flight = sum(1 for ev in heap if ev[2] != GEN)
-        while window_idx < n_windows:
-            self._flush_window(window_idx, (window_idx + 1) * sched.t_monitor)
-            window_idx += 1
+        self._advance(stop)
+        self._fold()
+        self.pools.clear()   # the token pools live for one run
+        while self.window_idx < self.n_windows:
+            self._flush_window(self.window_idx,
+                               (self.window_idx + 1) * sched.t_monitor)
+            self.window_idx += 1
         return SimulationRun(
             records=self.records,
             policy=self.policy,
             requests_issued=self.requests_issued,
             responses_delivered=self.responses_delivered,
-            in_flight=in_flight,
+            in_flight=self.in_flight,
             unroutable_total=self.unroutable_total,
             miss_cost=self.miss_cost,
             miss_cost_item=self.miss_cost_item,
         )
 
-    def _handle_request(self, heap, seq, time, k, path):
-        scen = self.scenario
-        top, dem = scen.topology, scen.demand
-        node = path[-1]
-        if self.measure_active:
-            self.period_arrivals[k, node] += 1
-        if self.policy.is_hit(node, k) or node in dem.servers[k]:
-            self.policy.on_hit(node, k)
-            if self.trace is not None:
-                kind = "server" if node in dem.servers[k] else "hit"
-                self.trace.write(f"{time:.6f} {kind} node={node} item={k}\n")
-            self._start_response(heap, seq, time, k, path)
-            return
-        self.policy.on_miss(node, k)
-        hop = self.token_forward(node, k)
-        if hop is None:
-            self.window_unroutable += 1
-            self.unroutable_total += 1
-            hop = self._failsafe_hop(node, k)
-            if hop is None:
-                return  # reported; packet dropped only if truly no neighbor
-        if self.trace is not None:
-            self.trace.write(f"{time:.6f} fwd node={node} item={k} to={hop}\n")
-        path.append(hop)
-        heapq.heappush(
-            heap, (time + self.schedule.hop_latency, seq, REQ, k, path, None)
-        )
+    def _walker(self):
+        """walk(t0, k, node, seg_end): the request for item k born at node
+        at time t0, and its response, in one call.
 
-    def _start_response(self, heap, seq, time, k, path):
-        if len(path) == 1:
-            self.responses_delivered += 1  # served where it was born
-            return
-        pos = len(path) - 1
-        heapq.heappush(
-            heap,
-            (time + self.schedule.hop_latency, seq, RESP, k, path, (pos - 1, 0.0)),
-        )
+        Every node the request visits gets ``policy.is_hit``, and a miss
+        gets ``policy.on_miss`` and one ``token_forward`` (the failsafe
+        neighbour when the tokens give none).  Every node the response
+        passes gets ``policy.on_response_pass``.  Hops stamped before
+        ``seg_end`` go to the segment lists, later ones to ``pending``.
+        """
+        top, dem = self.scenario.topology, self.scenario.demand
+        V = top.num_nodes
+        policy = self.policy
+        is_hit, on_hit, on_miss = policy.is_hit, policy.on_hit, policy.on_miss
+        on_response_pass = policy.on_response_pass
+        token_forward = self.token_forward
+        servers = dem.servers
+        edge_index = top.edge_index
+        d = self.d_weights.tolist()
+        lat = self.schedule.hop_latency
+        trace = self.trace
+        links, miss_at, miss = self.seg_links, self.seg_miss_at, self.seg_miss
+        visits = self.seg_visits
+        defer = self._defer
 
-    def _count_response_hop(self, k, path, pos, cum, heap, seq, time):
-        top = self.scenario.topology
-        e = top.edge_index[(path[pos + 1], path[pos])]
-        self.window_counts[e] += 1  # user-facing windows count every slot
-        if self.measure_active:
-            self.period_counts[e] += 1  # the policy's period average skips
-                                        # the update slot
-        cum += self.d_weights[e]
-        node = path[pos]
-        self.miss_cost[node] += cum
-        self.miss_cost_item[k, node] += cum
-        self.policy.on_response_pass(node, k)
-        if pos == 0:
+        def walk(t0, k, node, seg_end):
+            path = [node]
+            hops = []            # the response link of each request hop
+            h = 0
+            stamp = t0
+            while True:
+                if stamp < seg_end:
+                    visits.append(k * V + node)
+                elif not defer(stamp, _VISIT, k * V + node):
+                    return
+                if is_hit(node, k) or node in servers[k]:
+                    on_hit(node, k)
+                    if trace is not None:
+                        kind = "server" if node in servers[k] else "hit"
+                        trace.write(f"{stamp:.6f} {kind} node={node} item={k}\n")
+                    break
+                on_miss(node, k)
+                nxt = token_forward(node, k)
+                if nxt is None:
+                    self.unroutable_total += 1
+                    if stamp < seg_end:
+                        self.window_unroutable += 1
+                    else:
+                        defer(stamp, _UNROUTABLE)
+                    nxt = self._failsafe_hop(node, k)
+                    if nxt is None:
+                        return   # reported; dropped only if truly no neighbor
+                if trace is not None:
+                    trace.write(f"{stamp:.6f} fwd node={node} item={k} to={nxt}\n")
+                hops.append(edge_index[(nxt, node)])
+                path.append(nxt)
+                node = nxt
+                h += 1
+                stamp = t0 + h * lat
+            cum = 0.0
+            for pos in range(len(hops) - 1, -1, -1):
+                h += 1
+                stamp = t0 + h * lat
+                e = hops[pos]
+                node = path[pos]
+                cum += d[e]
+                if stamp < seg_end:
+                    links.append(e)
+                    miss_at.append(k * V + node)
+                    miss.append(cum)
+                elif not defer(stamp, _RESPONSE, e, k * V + node, cum):
+                    return
+                on_response_pass(node, k)
             self.responses_delivered += 1
-            return
-        heapq.heappush(
-            heap,
-            (time + self.schedule.hop_latency, seq, RESP, k, path, (pos - 1, cum)),
-        )
+
+        return walk
+
+    def _defer(self, stamp, kind, a=None, b=None, c=None):
+        """Keep a hop stamped past the current segment for the segment its
+        stamp falls in; past the end of the run the request is in flight
+        and the walk stops (returns False)."""
+        if stamp >= self.stop:
+            self.in_flight += 1
+            return False
+        self.pending.append((stamp, kind, a, b, c))
+        return True
 
     # -- boundaries --------------------------------------------------------
+
+    def _advance(self, until):
+        """Process, in time order, every window and slot boundary at or
+        before ``until`` (a window first when both fall together)."""
+        sched = self.schedule
+        while until >= self.seg_end and self.window_idx < self.n_windows:
+            self._fold()
+            if self.window_end <= self.slot_end:
+                self._flush_window(self.window_idx, self.window_end)
+                self.window_idx += 1
+                self.window_end = (self.window_idx + 1) * sched.t_monitor
+            else:
+                self.slot_idx += 1
+                self._slot_boundary(self.slot_idx)
+                self.slot_end = (self.slot_idx + 1) * sched.t_slot
+            self.seg_end = min(self.window_end, self.slot_end)
+            if self.pending:
+                self._release_pending()
+
+    def _release_pending(self):
+        """Move the buffered hops stamped inside the new segment into it."""
+        later = []
+        for entry in self.pending:
+            stamp, kind, a, b, c = entry
+            if stamp >= self.seg_end:
+                later.append(entry)
+            elif kind == _VISIT:
+                self.seg_visits.append(a)
+            elif kind == _RESPONSE:
+                self.seg_links.append(a)
+                self.seg_miss_at.append(b)
+                self.seg_miss.append(c)
+            else:
+                self.window_unroutable += 1
+        self.pending = later
+
+    def _fold(self):
+        """Add the current segment's hops to the count arrays and empty its
+        lists: window link counts always, the period's link counts and
+        arrivals only while measurement is active, miss costs always."""
+        C, V = self.miss_cost_item.shape
+        if self.seg_links:
+            counts = np.bincount(self.seg_links,
+                                 minlength=self.window_counts.size)
+            self.window_counts += counts
+            if self.measure_active:
+                self.period_counts += counts
+            at = np.array(self.seg_miss_at)
+            self.miss_cost_item += np.bincount(
+                at, weights=self.seg_miss, minlength=C * V).reshape(C, V)
+            self.miss_cost += np.bincount(at % V, weights=self.seg_miss,
+                                          minlength=V)
+        if self.seg_visits and self.measure_active:
+            self.period_arrivals += np.bincount(
+                self.seg_visits, minlength=C * V).reshape(C, V)
+        for seg in (self.seg_links, self.seg_miss_at, self.seg_miss,
+                    self.seg_visits):
+            seg.clear()
 
     def _slot_boundary(self, slot_idx):
         L = self.schedule.slots_per_period
@@ -399,14 +514,12 @@ def mc_measured_cost_model(scenario, strategy, t_monitor, n_samples, seed):
     from .rounding import build_bar_map, sample_decision
 
     rng = np.random.default_rng(seed)
-    top, dem, cost = scenario.topology, scenario.demand, scenario.cost
-    C, V = dem.num_items, top.num_nodes
-    maps = [build_bar_map(strategy.y[:, i]) for i in range(V)]
+    top, cost = scenario.topology, scenario.cost
+    V = top.num_nodes
+    bar_map = build_bar_map(strategy.y)
     samples = np.empty(n_samples)
     for s in range(n_samples):
-        x = np.zeros((C, V), dtype=np.int8)
-        for i in range(V):
-            x[:, i] = sample_decision(maps[i], float(rng.random()))
+        x = sample_decision(bar_map, rng.random(V))
         fs = decision_flow_state(scenario, strategy, x)
         counts = rng.poisson(np.maximum(fs.F, 0.0) * t_monitor)
         F_hat = counts / t_monitor

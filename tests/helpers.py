@@ -17,6 +17,7 @@ from cachenet.network import (
     poly3_link_costs,
     zero_costs,
 )
+from cachenet.sim import SimulationRun, Simulator
 
 
 def line_topology(n):
@@ -502,3 +503,184 @@ def reference_costgreedy_pick(miss, cached, servers):
             if miss[k, i] > best_val:
                 best, best_val = (k, i), miss[k, i]
     return best
+
+
+GEN, REQ, RESP = 0, 1, 2
+
+
+class ReferenceSimulator(Simulator):
+    """The event-queue form of ``Simulator.run``: every request arrival,
+    request hop and response hop is its own heap event, ``hop_latency``
+    apart, and each (node, item) stream draws its own exponential gaps.
+    Window and slot boundaries are processed when the first event past them
+    is popped.  It shares the boundary code and token pools with the
+    request-atomic walk it is tested against."""
+
+    def run(self):
+        sched = self.schedule
+        scen = self.scenario
+        top, dem = scen.topology, scen.demand
+        heap = []
+        seq = 0
+        for k in range(dem.num_items):
+            for i in range(top.num_nodes):
+                r = dem.rates[k, i]
+                if r > 0:
+                    t0 = self.rng.exponential(1.0 / r)
+                    heapq.heappush(heap, (t0, seq, GEN, i, k, None))
+                    seq += 1
+
+        horizon = sched.periods * sched.slots_per_period * sched.t_slot
+        n_windows = int(round(horizon / sched.t_monitor))
+        window_end = sched.t_monitor
+        window_idx = 0
+        slot_len = sched.t_slot
+        slot_end = slot_len
+        slot_idx = 0
+        self.policy.setup(scen, self)
+        self.policy.on_slot(0, 0)
+
+        while heap:
+            time, _, kind, a, b, c = heap[0]
+            if time >= horizon:
+                break
+            while time >= min(window_end, slot_end):
+                if window_end <= slot_end:
+                    self._flush_window(window_idx, window_end)
+                    window_idx += 1
+                    window_end = (window_idx + 1) * sched.t_monitor
+                    if window_idx >= n_windows:
+                        break
+                else:
+                    slot_idx += 1
+                    self._slot_boundary(slot_idx)
+                    slot_end = (slot_idx + 1) * slot_len
+            if window_idx >= n_windows:
+                break
+            heapq.heappop(heap)
+
+            if kind == GEN:
+                i, k = a, b
+                self.requests_issued += 1
+                nxt = time + self.rng.exponential(1.0 / dem.rates[k, i])
+                heapq.heappush(heap, (nxt, seq, GEN, i, k, None))
+                seq += 1
+                self._handle_request(heap, seq, time, k, [i])
+                seq += 1
+            elif kind == REQ:
+                self._handle_request(heap, seq, time, a, b)
+                seq += 1
+            else:
+                k, path = a, b
+                pos, cum = c
+                self._count_response_hop(k, path, pos, cum, heap, seq, time)
+                seq += 1
+
+        in_flight = sum(1 for ev in heap if ev[2] != GEN)
+        while window_idx < n_windows:
+            self._flush_window(window_idx, (window_idx + 1) * sched.t_monitor)
+            window_idx += 1
+        return SimulationRun(
+            records=self.records,
+            policy=self.policy,
+            requests_issued=self.requests_issued,
+            responses_delivered=self.responses_delivered,
+            in_flight=in_flight,
+            unroutable_total=self.unroutable_total,
+            miss_cost=self.miss_cost,
+            miss_cost_item=self.miss_cost_item,
+        )
+
+    def _handle_request(self, heap, seq, time, k, path):
+        dem = self.scenario.demand
+        node = path[-1]
+        if self.measure_active:
+            self.period_arrivals[k, node] += 1
+        if self.policy.is_hit(node, k) or node in dem.servers[k]:
+            self.policy.on_hit(node, k)
+            self._start_response(heap, seq, time, k, path)
+            return
+        self.policy.on_miss(node, k)
+        hop = self.token_forward(node, k)
+        if hop is None:
+            self.window_unroutable += 1
+            self.unroutable_total += 1
+            hop = self._failsafe_hop(node, k)
+            if hop is None:
+                return
+        path.append(hop)
+        heapq.heappush(
+            heap, (time + self.schedule.hop_latency, seq, REQ, k, path, None)
+        )
+
+    def _start_response(self, heap, seq, time, k, path):
+        if len(path) == 1:
+            self.responses_delivered += 1
+            return
+        pos = len(path) - 1
+        heapq.heappush(
+            heap,
+            (time + self.schedule.hop_latency, seq, RESP, k, path, (pos - 1, 0.0)),
+        )
+
+    def _count_response_hop(self, k, path, pos, cum, heap, seq, time):
+        top = self.scenario.topology
+        e = top.edge_index[(path[pos + 1], path[pos])]
+        self.window_counts[e] += 1
+        if self.measure_active:
+            self.period_counts[e] += 1
+        cum += self.d_weights[e]
+        node = path[pos]
+        self.miss_cost[node] += cum
+        self.miss_cost_item[k, node] += cum
+        self.policy.on_response_pass(node, k)
+        if pos == 0:
+            self.responses_delivered += 1
+            return
+        heapq.heappush(
+            heap,
+            (time + self.schedule.hop_latency, seq, RESP, k, path, (pos - 1, cum)),
+        )
+
+
+def reference_run_simulation(scenario, policy, schedule, seed,
+                             keep_flow_samples=False):
+    """``run_simulation`` on the event-queue reference simulator."""
+    sim = ReferenceSimulator(scenario, policy, schedule, seed,
+                             keep_flow_samples=keep_flow_samples)
+    return sim.run()
+
+
+def reference_bar_intervals(y):
+    """Interval loop form of ``rounding.build_bar_map`` for one node: per
+    item, its (line, start, end) half-open spans."""
+    intervals = []
+    offset = 0.0
+    for k in range(len(y)):
+        spans = []
+        length = float(y[k])
+        if length > 0:
+            start = offset
+            end = offset + length
+            line = int(np.floor(start + 1e-12))
+            s_local = start - line
+            e_local = end - line
+            if e_local <= 1.0 + 1e-12:
+                spans.append((line, s_local, min(e_local, 1.0)))
+            else:
+                spans.append((line, s_local, 1.0))
+                spans.append((line + 1, 0.0, e_local - 1.0))
+        offset += length
+        intervals.append(tuple(spans))
+    return tuple(intervals)
+
+
+def reference_bar_decision(y, u):
+    """Loop form of ``rounding.sample_decision`` for one node: x[k] = 1 iff
+    one of item k's spans holds u (position 1 wraps to 0)."""
+    if u == 1.0:
+        u = 0.0
+    x = np.zeros(len(y), dtype=np.int8)
+    for k, spans in enumerate(reference_bar_intervals(y)):
+        x[k] = any(start <= u < end for _, start, end in spans)
+    return x

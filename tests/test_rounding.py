@@ -5,6 +5,8 @@ import pytest
 
 from cachenet.rounding import build_bar_map, sample_decision, slot_uniform
 
+from helpers import reference_bar_decision, reference_bar_intervals
+
 FIG_Y = np.array([0.3, 0.5, 0.1, 0.8, 0.4, 0.3])
 
 
@@ -79,3 +81,50 @@ class TestSampleDecision:
         assert a == b
         assert a != c
         assert 0.0 <= a < 1.0
+
+
+def _random_caching(rng, shape):
+    """Caching fractions in tenths, with plenty of exact zeros and ones."""
+    y = rng.integers(0, 11, size=shape) / 10.0
+    y[rng.random(shape) < 0.2] = 0.0
+    y[rng.random(shape) < 0.1] = 1.0
+    return y
+
+
+class TestArrayRounding:
+    """The cumulative-sum layout against the interval loop it replaced
+    (``helpers.reference_bar_decision``)."""
+
+    def test_decisions_match_interval_loop(self):
+        rng = np.random.default_rng(2)
+        checked = 0
+        for _ in range(300):
+            y = _random_caching(rng, int(rng.integers(1, 12)))
+            m = build_bar_map(y)
+            for u in (0.0, 1.0, *rng.random(5)):
+                got = sample_decision(m, float(u))
+                assert np.array_equal(got, reference_bar_decision(y, float(u)))
+                checked += 1
+        assert checked == 2100
+
+    def test_intervals_match_interval_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            y = _random_caching(rng, int(rng.integers(1, 12)))
+            assert build_bar_map(y).intervals == reference_bar_intervals(y)
+
+    def test_node_columns_round_independently(self):
+        # a (C, V) map with one position per node equals V one-node maps
+        rng = np.random.default_rng(4)
+        y = _random_caching(rng, (9, 7))
+        m = build_bar_map(y)
+        for u in (np.zeros(7), np.ones(7), rng.random(7)):
+            x = sample_decision(m, u)
+            assert x.shape == (9, 7) and x.dtype == np.int8
+            for i in range(7):
+                assert np.array_equal(x[:, i], reference_bar_decision(y[:, i], u[i]))
+
+    def test_position_outside_unit_interval_rejected(self):
+        m = build_bar_map(np.full((2, 3), 0.5))
+        with pytest.raises(ValueError):
+            sample_decision(m, [0.1, 1.2, 0.3])

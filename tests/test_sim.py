@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cachenet.flow import Strategy, solve_traffic
-from cachenet.gp import shortest_path_strategy
+from cachenet.gp import GPConfig, run_gp, shortest_path_strategy
 from cachenet.network import Demand
 from cachenet.policies import (
     _costgreedy_pick,
@@ -25,9 +25,14 @@ from cachenet.sim import (
     mc_measured_cost_model,
     run_simulation,
 )
-from cachenet.scenarios import ScenarioSpec, generate_scenario
+from cachenet.scenarios import TABLE_PRESETS, ScenarioSpec, generate_scenario
 
-from helpers import line_topology, reference_costgreedy_pick, symmetric_costs
+from helpers import (
+    line_topology,
+    reference_costgreedy_pick,
+    reference_run_simulation,
+    symmetric_costs,
+)
 from cachenet.network import Scenario
 
 
@@ -402,3 +407,129 @@ class TestGpInSim:
         n_windows = len(run.records)
         band = 3 * std * (1 / np.sqrt(0.8 * n_windows) + 1 / np.sqrt(3000))
         assert abs(measured - mean) <= band + 1e-9
+
+
+class CountingPolicy(FrozenStrategyPolicy):
+    """A frozen strategy that counts the response hops it is told about."""
+
+    def __init__(self, strategy):
+        super().__init__(strategy)
+        self.response_passes = 0
+
+    def on_response_pass(self, node, item):
+        self.response_passes += 1
+
+
+class LoopingPolicy(FrozenStrategyPolicy):
+    """No routing tokens anywhere, and failsafe neighbours 0 <-> 1: every
+    request that leaves node 0 bounces between nodes 0 and 1."""
+
+    def routing_weights(self, node, item):
+        return []
+
+    def failsafe_neighbors(self, node, item):
+        return [1 - node] if node < 2 else []
+
+
+def _window_costs(runner, scen, strategy, sched, seeds):
+    return np.concatenate([
+        [r.measured_total for r in
+         runner(scen, FrozenStrategyPolicy(strategy), sched, seed).records]
+        for seed in seeds
+    ])
+
+
+class TestRequestWalk:
+    """The request-atomic walk against the event-queue reference
+    (``helpers.reference_run_simulation``), and its exact identities."""
+
+    def _assert_same_mean(self, scen, strategy, sched, seeds):
+        new = _window_costs(run_simulation, scen, strategy, sched, seeds)
+        ref = _window_costs(reference_run_simulation, scen, strategy, sched,
+                            seeds)
+        sigma = np.sqrt(new.var(ddof=1) / new.size + ref.var(ddof=1) / ref.size)
+        assert abs(new.mean() - ref.mean()) <= 3 * sigma
+
+    def test_line_mean_window_cost_matches_reference(self):
+        scen = line_scenario(rate=5.0, b=0.05)
+        strat = Strategy.from_dicts(
+            scen.topology, 1,
+            phi={(0, 1, 0): 0.5, (1, 2, 0): 0.8},
+            y={(0, 0): 0.5, (1, 0): 0.2},
+        )
+        sched = SimSchedule(t_slot=5.0, slots_per_period=4, periods=30)
+        self._assert_same_mean(scen, strat, sched, seeds=(1, 2, 3))
+
+    def test_grid25_mean_window_cost_matches_reference(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+        traj = run_gp(scen.topology, scen.demand, scen.cost,
+                      GPConfig(alpha=0.05, max_periods=100))
+        assert (traj.strategy.y % 1.0 > 0).any()   # fractional caches
+        sched = SimSchedule(t_slot=10.0, slots_per_period=2, periods=4,
+                            t_monitor=2.5)
+        self._assert_same_mean(scen, traj.strategy, sched, seeds=(1, 2, 3))
+
+    def test_window_counts_equal_response_hops(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=2)
+        strat = shortest_path_strategy(scen.topology, scen.demand, scen.cost)
+        pol = CountingPolicy(strat)
+        sched = SimSchedule(t_slot=2.0, slots_per_period=2, periods=3,
+                            t_monitor=0.5, hop_latency=0.05)
+        run = run_simulation(scen, pol, sched, seed=4, keep_flow_samples=True)
+        counted = sum(r.measured_F.sum() * sched.t_monitor for r in run.records)
+        assert round(counted) == pol.response_passes > 0
+        assert run.requests_issued == run.responses_delivered + run.in_flight
+        assert run.in_flight > 0
+
+    def test_online_gp_conserves_requests(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+        pol = make_policy("gp", alpha=0.01)
+        sched = SimSchedule(t_slot=10.0, slots_per_period=2, periods=3)
+        run = run_simulation(scen, pol, sched, seed=1)
+        assert run.requests_issued == run.responses_delivered + run.in_flight
+        assert run.unroutable_total == 0
+
+    def test_failsafe_loop_ends_in_flight_at_horizon(self):
+        scen = line_scenario(rate=2.0)
+        pol = LoopingPolicy(Strategy.from_dicts(scen.topology, 1))
+        sched = SimSchedule(t_slot=1.0, slots_per_period=2, periods=2,
+                            hop_latency=0.05)
+        run = run_simulation(scen, pol, sched, seed=3)
+        assert run.requests_issued > 0
+        assert run.in_flight == run.requests_issued
+        assert run.responses_delivered == 0
+        # every hop is unroutable, and each lands in the window of its stamp
+        assert sum(r.unroutable for r in run.records) == run.unroutable_total
+        assert run.unroutable_total >= run.requests_issued
+        assert all(r.measured_link_cost == 0.0 for r in run.records)
+
+    def test_hop_past_window_end_counts_in_later_window(self):
+        # hops 0.3 apart on a 3-node line: the request reaches the server at
+        # t0 + 0.6 and its response hops are stamped t0 + 0.9 and t0 + 1.2,
+        # so with 1-second windows most of them land in a later window than
+        # the request; the trace gives every server stamp
+        import io
+
+        scen = line_scenario(rate=2.0)
+        pol = make_policy("sp-lru", capacity=0)
+        sched = SimSchedule(t_slot=1.0, slots_per_period=2, periods=5,
+                            hop_latency=0.3)
+        trace = io.StringIO()
+        run = run_simulation(scen, pol, sched, seed=6, trace=trace,
+                             keep_flow_samples=True)
+        top = scen.topology
+        served = [float(line.split()[0]) for line in
+                  trace.getvalue().splitlines() if " server " in line]
+        horizon = sched.periods * sched.slots_per_period * sched.t_slot
+        expect = np.zeros((len(run.records), top.num_links))
+        straddled = 0
+        for s in served:
+            t0 = s - 0.6
+            for h, link in ((3, (2, 1)), (4, (1, 0))):
+                stamp = t0 + h * sched.hop_latency
+                if stamp < horizon:
+                    expect[int(stamp // sched.t_monitor), top.edge_index[link]] += 1
+                    straddled += int(stamp // 1.0) > int(t0 // 1.0)
+        got = np.array([r.measured_F * sched.t_monitor for r in run.records])
+        assert straddled > 0
+        np.testing.assert_allclose(got, expect)
