@@ -63,32 +63,66 @@ def server_distances(topology, demand, weights):
     return dist
 
 
+def _server_hops(topology, server_mask, dist, weights):
+    """Fewest hops to a server among each node's shortest-distance paths.
+
+    ``dist`` are the ``server_distances`` for the link prices ``weights``
+    and the (items, nodes) ``server_mask``.  A response reaches j over a
+    shortest path through link (i, j) iff dist_i + w(i, j) == dist_j (the
+    same sum the distances were found with); the hop counts grow from 0 at
+    the servers along those links, one round per hop, on all items at once.
+    """
+    src, dst = topology.src, topology.dst
+    tight = dist[:, src] + weights == dist[:, dst]
+    hops = np.where(server_mask, 0.0, np.inf)
+    for _ in range(topology.num_nodes):
+        via = np.where(tight, hops[:, src] + 1.0, np.inf)
+        new = fold_out_links(dst, via, np.minimum, hops.copy())
+        if np.array_equal(new, hops):
+            break
+        hops = new
+    return hops
+
+
 def static_blocked_sets(topology, demand, cost):
     """Distance-DAG blocked sets, fixed for the whole run.
 
-    Link (i, j) is unblocked for item k iff j is strictly closer to a server
-    of k, with equal distances tie-broken by admitting (i, j) iff id(j) <
-    id(i); distances use the zero-flow marginals D'(0) as link weights.  An
-    unblocked link thus always leads to a strictly smaller (distance, id)
-    pair, so the unblocked graph per item is acyclic, and a walk over it
-    from any node ends at a server unless it meets a non-server node with
-    no unblocked out-link.  Raises DisconnectedDemandError if there is such
-    a dead end (possible with zero-weight links) or if some node cannot
-    reach a server at all.
+    Link (i, j) is unblocked for item k iff j comes before i in the order
+    of (distance to a server of k, fewest hops among shortest-distance
+    paths, id); distances use the zero-flow marginals D'(0) as link
+    weights.  An unblocked link thus always leads to a strictly smaller
+    key, so the unblocked graph per item is acyclic.  Every non-server node
+    with a path to a server keeps an unblocked out-link, even across
+    zero-weight links: its next hop on a fewest-hop shortest path is no
+    farther and one hop nearer.  Raises DisconnectedDemandError if some
+    node cannot reach a server at all (or, as a guard, is left without an
+    unblocked out-link).
+
+    Hop counts only decide between linked nodes of equal distance, not
+    both servers, so they are counted only for the items that have such a
+    link.
     """
-    dist = server_distances(topology, demand,
-                            cost.link_deriv(np.zeros(topology.num_links)))
+    weights = cost.link_deriv(np.zeros(topology.num_links))
+    dist = server_distances(topology, demand, weights)
     src, dst = topology.src, topology.dst
+    servers = demand.server_mask
     d_src, d_dst = dist[:, src], dist[:, dst]
-    mask = ~((d_dst < d_src) | ((d_dst == d_src) & (dst < src)))
+    tied = ((d_src == d_dst) & ~(servers[:, src] & servers[:, dst])).any(axis=1)
+    hops = np.zeros_like(dist)
+    if tied.any():
+        hops[tied] = _server_hops(topology, servers[tied], dist[tied], weights)
+    h_src, h_dst = hops[:, src], hops[:, dst]
+    before = (d_dst < d_src) | ((d_dst == d_src) & (
+        (h_dst < h_src) | ((h_dst == h_src) & (dst < src))))
+    mask = ~before
     _check_reachability(topology, demand, mask)
     return BlockedSets(mode="static", mask=mask)
 
 
 def _check_reachability(topology, demand, mask):
     """Every node must reach a designated server inside the unblocked graph;
-    for a (distance, id)-ordered mask, that is every non-server node keeping
-    an unblocked out-link."""
+    for a mask ordered by a per-node key, that is every non-server node
+    keeping an unblocked out-link."""
     n_out = fold_out_links(topology.src, (~mask).astype(int), np.add,
                            np.zeros(demand.server_mask.shape, dtype=int))
     dead = (n_out == 0) & ~demand.server_mask

@@ -109,6 +109,12 @@ class FlowState:
     f[k, e]  : response flow of item k on link e  (f_ji(k) = t_i(k) phi_ij(k))
     F[e]     : total flow on link e
     Y[i]     : cache occupancy sum_k y[k, i]
+
+    ``solve_traffic`` also keeps the DAG levels its forward sweep ran on:
+    ``levels`` and ``acyclic`` as returned by ``dag_levels`` for the
+    (item, link) mask ``routed`` (phi != 0).  ``compute_marginals`` reuses
+    them for its reverse sweep; a FlowState built by hand (e.g. from
+    measured flows) leaves them None and the marginals level the DAG anew.
     """
 
     t: np.ndarray
@@ -118,6 +124,9 @@ class FlowState:
     link_cost: float
     cache_cost: float
     total_cost: float
+    levels: list = None
+    acyclic: np.ndarray = None
+    routed: np.ndarray = None
 
 
 def dag_levels(topology, active):
@@ -227,15 +236,19 @@ def solve_dense(topology, phi, rhs, transpose=False):
 def solve_traffic(topology, demand, strategy, cost):
     """Solve t = r + Phi^T t per item and populate flows and costs.
 
-    Items whose routing (the links with phi != 0) is acyclic are solved by
-    one forward sweep over its levels; items with a routing cycle fall back
-    to the dense solve, so loopy strategies are supported as long as the
-    system is nonsingular.  A cycle whose routing-fraction product reaches
-    one makes the circulation divergent and raises DivergentCirculationError.
+    The routing DAG (the links with phi != 0) is leveled once, here, for
+    the whole period: items whose routing is acyclic are solved by one
+    forward sweep over their levels, and the levels go out on the FlowState
+    for the reverse sweep of ``compute_marginals``.  Items with a routing
+    cycle fall back to the dense solve, so loopy strategies are supported
+    as long as the system is nonsingular.  A cycle whose routing-fraction
+    product reaches one makes the circulation divergent and raises
+    DivergentCirculationError.
     """
     phi = strategy.phi
     r = demand.rates
-    levels, acyclic = dag_levels(topology, phi != 0)
+    routed = phi != 0
+    levels, acyclic = dag_levels(topology, routed)
     t = sweep_forward(levels, phi, r)
     cyclic = ~acyclic
     if cyclic.any():
@@ -254,4 +267,5 @@ def solve_traffic(topology, demand, strategy, cost):
         t=t, f=f, F=F, Y=Y,
         link_cost=link_cost, cache_cost=cache_cost,
         total_cost=link_cost + cache_cost,
+        levels=levels, acyclic=acyclic, routed=routed,
     )

@@ -226,47 +226,43 @@ def count_async_messages(topology, demand, strategy, blocked, node):
     in turn needs its positive-phi downstream neighbors to evaluate its own
     recursion.  One message per (needed value, requiring node) pair, i.e.
     per directed edge that actually delivers a value upstream.
+
+    All items at once: the needed set grows from the unblocked neighbors
+    along the active links until a sweep adds nothing (at most V sweeps).
+    Each active link between needed nodes then delivers one message, and
+    each unblocked neighbor one to the updater, unless that link already
+    counted it.
     """
-    total = 0
-    for k in range(demand.num_items):
-        candidates = {
-            int(topology.dst[e])
-            for e in topology.out_edges[node]
-            if not blocked.mask[k, e]
-        }
-        needed = set()
-        frontier = list(candidates)
-        while frontier:
-            u = frontier.pop()
-            if u in needed:
-                continue
-            needed.add(u)
-            for e in topology.out_edges[u]:
-                if strategy.phi[k, e] > PHI_ACTIVE:
-                    frontier.append(int(topology.dst[e]))
-        for u in needed:
-            requirers = set()
-            if u in candidates:
-                requirers.add(node)
-            for w in needed:
-                e = topology.edge_index.get((w, u))
-                if e is not None and strategy.phi[k, e] > PHI_ACTIVE:
-                    requirers.add(w)
-            total += len(requirers)
-    return total
+    src, dst = topology.src, topology.dst
+    out = np.asarray(topology.out_edges[node], dtype=np.intp)
+    active = strategy.phi > PHI_ACTIVE
+    candidates = np.zeros(demand.server_mask.shape, dtype=bool)
+    k, e = np.nonzero(~blocked.mask[:, out])
+    candidates[k, dst[out[e]]] = True
+    needed = candidates
+    while True:
+        k, e = np.nonzero(active & needed[:, src])
+        grown = needed.copy()
+        grown[k, dst[e]] = True
+        if np.array_equal(grown, needed):
+            break
+        needed = grown
+    delivers = active & needed[:, src] & needed[:, dst]
+    counted = delivers[:, out] & candidates[:, dst[out]]
+    return int(delivers.sum() + candidates.sum() - counted.sum())
 
 
 def run_gp(topology, demand, cost, config=None, initial_strategy=None):
     """Iterate gradient-projection periods until the restricted modified
     condition holds or the period budget runs out.
 
-    Per period: (re)compute blocked sets, solve traffic by a forward sweep
-    and the marginals by a reverse sweep over each item's positive-phi DAG,
+    Per period: (re)compute blocked sets, level each item's routing DAG
+    once and solve traffic by a forward sweep over it, get the marginals by
+    a reverse sweep over the same levels (restricted to phi > PHI_ACTIVE),
     apply one ``gp_step`` to the pairs the schedule selects (every pair
     with a positive residual, or all items at one node), and record cost /
-    residual /
-    broadcast-message counts.  A routing loop (an item without such a DAG)
-    raises.
+    residual / broadcast-message counts.  A routing loop (an item whose
+    positive-phi subgraph is not a DAG) raises.
     """
     config = config or GPConfig()
     zero_b = cost.cache.deriv_is_zero()
@@ -304,8 +300,8 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
             topology, demand, strategy, flow, marg, blocked
         )
         worst = float(pair_resid.max()) if pair_resid.size else 0.0
-        # the marginal computation already leveled each item's positive-phi
-        # subgraph; reuse its acyclic flags for the loop-freeness check
+        # the marginals already know which items' positive-phi subgraph
+        # is a DAG; reuse their acyclic flags for the loop-freeness check
         loop_free = bool(marg.acyclic.all())
         if initial_cost is None:
             initial_cost = flow.total_cost

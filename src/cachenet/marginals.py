@@ -51,6 +51,39 @@ class MarginalState:
     acyclic: np.ndarray = None
 
 
+def active_levels(topology, flow, active):
+    """``dag_levels(topology, active)`` for the (num_items, num_links) mask
+    ``active``, from the levels the traffic solve left on ``flow``.
+
+    When ``active`` lies inside the mask those levels were built on, the
+    pairs outside ``active`` are dropped from each level.  A subgraph of a
+    DAG keeps a valid layering, and each node's out-links still share one
+    level in link order, so a sweep over the result adds the same terms in
+    the same order as over a fresh build.  Items that were cyclic may have
+    lost their only cycle (one through entries outside ``active``); only
+    those are leveled anew, and their levels are joined level by level.
+    A ``flow`` without levels, or whose levels miss an active pair, gets a
+    fresh build.
+    """
+    if flow.routed is None or (active & ~flow.routed).any():
+        return dag_levels(topology, active)
+    keep_pair = active.ravel()
+    levels = []
+    for link, pair, src, dst in flow.levels:
+        keep = keep_pair[pair]
+        levels.append((link[keep], pair[keep], src[keep], dst[keep]))
+    acyclic = flow.acyclic
+    if not acyclic.all():
+        # rows acyclic before have no pairs here and come back acyclic
+        extra, acyclic = dag_levels(topology, active & ~acyclic[:, None])
+        joined = []
+        for n in range(max(len(levels), len(extra))):
+            parts = [lv[n] for lv in (levels, extra) if n < len(lv)]
+            joined.append(tuple(np.concatenate(col) for col in zip(*parts)))
+        levels = joined
+    return levels, acyclic
+
+
 def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     """Compute dT/dr and the delta marginals for every (node, item).
 
@@ -58,8 +91,10 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     active subgraph is acyclic are evaluated by one reverse sweep over its
     levels (the broadcast order used by the online algorithm: each node
     sums phi * (D' + dT/dr) over its out-links in link order); items with a
-    cycle fall back to the transposed dense solve.  When ``blocked`` is
-    given, delta_min minimizes only over unblocked neighbors.
+    cycle fall back to the transposed dense solve.  The levels are those
+    ``solve_traffic`` built and left on ``flow`` (see ``active_levels``),
+    so a period levels its routing DAG once.  When ``blocked`` is given,
+    delta_min minimizes only over unblocked neighbors.
     """
     V, C = topology.num_nodes, demand.num_items
     phi = strategy.phi
@@ -68,7 +103,7 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     # cost of forwarding over edge e=(i,j): response returns on rev(e)
     resp_deriv = Dp[topology.rev]
 
-    levels, acyclic = dag_levels(topology, phi > PHI_ACTIVE)
+    levels, acyclic = active_levels(topology, flow, phi > PHI_ACTIVE)
     dTdr = sweep_reverse(levels, phi, resp_deriv, V)
     cyclic = ~acyclic
     if cyclic.any():

@@ -479,9 +479,17 @@ class Simulator:
 
 def run_simulation(scenario, policy, schedule, seed, trace=None,
                    keep_flow_samples=False):
-    """Run one packet-level simulation; returns a SimulationRun."""
+    """Run one packet-level simulation; returns a SimulationRun.
+
+    The policy's reference to the simulator (set by ``SimPolicy.setup``) is
+    dropped when the run ends, so the simulator is freed by reference
+    counting instead of waiting for a cyclic collection.
+    """
     sim = Simulator(scenario, policy, schedule, seed, trace, keep_flow_samples)
-    return sim.run()
+    try:
+        return sim.run()
+    finally:
+        policy.sim = None
 
 
 def decision_flow_state(scenario, strategy, x):

@@ -181,6 +181,38 @@ def reference_dynamic_blocked_sets(topology, demand, strategy):
     return BlockedSets(mode="dynamic", mask=mask)
 
 
+def reference_count_async_messages(topology, demand, strategy, blocked, node):
+    """Loop form of ``gp.count_async_messages``: a per-item set search from
+    the updater's unblocked neighbors along the positive-phi links."""
+    total = 0
+    for k in range(demand.num_items):
+        candidates = {
+            int(topology.dst[e])
+            for e in topology.out_edges[node]
+            if not blocked.mask[k, e]
+        }
+        needed = set()
+        frontier = list(candidates)
+        while frontier:
+            u = frontier.pop()
+            if u in needed:
+                continue
+            needed.add(u)
+            for e in topology.out_edges[u]:
+                if strategy.phi[k, e] > PHI_ACTIVE:
+                    frontier.append(int(topology.dst[e]))
+        for u in needed:
+            requirers = set()
+            if u in candidates:
+                requirers.add(node)
+            for w in needed:
+                e = topology.edge_index.get((w, u))
+                if e is not None and strategy.phi[k, e] > PHI_ACTIVE:
+                    requirers.add(w)
+            total += len(requirers)
+    return total
+
+
 def _reference_pair_update(i, k, topology, strategy, flow, marg, blocked, alpha):
     """(delta_phi dict, delta_y) of one (node, item) update, or None."""
     out = topology.out_edges[i]
@@ -388,17 +420,31 @@ def reference_server_distances(topology, demand, weights):
 
 
 def reference_static_blocked_sets(topology, demand, cost):
-    """Loop form of ``blocking.static_blocked_sets``: a per-item mask and a
-    per-item reachability search backwards from the servers."""
+    """Loop form of ``blocking.static_blocked_sets``: per item, a BFS from
+    the servers over the shortest-distance links for the hop counts, a
+    (distance, hops, id) comparison per link, and a reachability search
+    backwards from the servers."""
     weights = cost.link_deriv(np.zeros(topology.num_links))
     dist = reference_server_distances(topology, demand, weights)
     C, V = demand.num_items, topology.num_nodes
     src, dst = topology.src, topology.dst
     mask = np.ones((C, topology.num_links), dtype=bool)
     for k in range(C):
-        closer = dist[k, dst] < dist[k, src]
-        tie = (dist[k, dst] == dist[k, src]) & (dst < src)
-        mask[k] = ~(closer | tie)
+        # j's response may come over (i, j) on a shortest path iff
+        # dist_i + w(i, j) == dist_j
+        hops = [None] * V
+        queue = sorted(demand.servers[k])
+        for s in queue:
+            hops[s] = 0
+        for i in queue:     # grows while it is walked: a BFS
+            for e in topology.out_edges[i]:
+                j = dst[e]
+                if hops[j] is None and dist[k, i] + weights[e] == dist[k, j]:
+                    hops[j] = hops[i] + 1
+                    queue.append(j)
+        key = [(dist[k, i], hops[i], i) for i in range(V)]
+        for e in range(topology.num_links):
+            mask[k, e] = not key[dst[e]] < key[src[e]]
     for k in range(C):
         reached = [False] * V
         stack = list(demand.servers[k])

@@ -83,17 +83,19 @@ class TestStaticSets:
         with pytest.raises(DisconnectedDemandError):
             static_blocked_sets(top, dem, cost=cost)
 
-    def test_zero_weight_dead_end_raises(self):
+    def test_zero_weight_tie_keeps_an_unblocked_link(self):
         # 1 - 2 costs nothing, so 1 and 2 tie at distance 1 from server 0;
-        # the tie admits only 2 -> 1, which leaves 1 without an unblocked link
+        # 2 is one hop from the server and 1 two, so the tie admits 1 -> 2
+        # (by id alone it would admit only 2 -> 1 and leave 1 a dead end)
         top = Topology(3, [(0, 2), (2, 0), (1, 2), (2, 1)])
         dem = Demand(1, [{0}], np.array([[0.0, 1.0, 0.0]]))
         cost = symmetric_costs(
             top, {frozenset((0, 2)): 1.0, frozenset((1, 2)): 0.0}, [1.0] * 3
         )
-        with pytest.raises(DisconnectedDemandError,
-                           match=r"nodes \[1\] have no unblocked path"):
-            static_blocked_sets(top, dem, cost=cost)
+        b = static_blocked_sets(top, dem, cost=cost)
+        assert not b.is_blocked(top, 1, 2, 0)
+        assert b.is_blocked(top, 2, 1, 0)
+        assert not b.is_blocked(top, 2, 0, 0)
 
 
 class TestDynamicSets:

@@ -24,6 +24,8 @@ from cachenet.network import (
     linear_link_costs,
 )
 
+from cachenet.scenarios import TABLE_PRESETS, generate_scenario
+
 from helpers import line_topology, symmetric_costs
 
 
@@ -268,6 +270,43 @@ class TestRunGp:
         after, _, _ = step_delta(top, dem, s, fs, m, blocked, 0.01, node=0)
         # the transfer moves mass to the cheaper fork: cost must drop
         assert solve_traffic(top, dem, after, cost).total_cost < fs.total_cost
+
+
+class TestPeriodKernel:
+    def test_one_level_build_per_period(self, monkeypatch):
+        # the traffic solve levels the routing DAG; the marginals reuse it
+        import cachenet.flow
+        import cachenet.marginals
+
+        calls = []
+        dag_levels = cachenet.flow.dag_levels
+
+        def counted(topology, active):
+            calls.append(int(active.sum()))
+            return dag_levels(topology, active)
+
+        monkeypatch.setattr(cachenet.flow, "dag_levels", counted)
+        monkeypatch.setattr(cachenet.marginals, "dag_levels", counted)
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+        for mode in ("static", "dynamic"):
+            calls.clear()
+            traj = run_gp(scen.topology, scen.demand, scen.cost, GPConfig(
+                alpha=0.05, max_periods=25, tol=1e-12, blocked_mode=mode))
+            assert len(calls) == len(traj.records) == 25
+
+    @pytest.mark.parametrize("seed, periods, final_cost", [
+        (1, 1091, 280.6843243426223),
+        (2, 1049, 288.93573579576844),
+        (3, 1691, 319.2463099957324),
+    ])
+    def test_grid25_dynamic_trajectory_pinned(self, seed, periods, final_cost):
+        # the bar every refactor of the period kernel keeps bit for bit
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed)
+        traj = run_gp(scen.topology, scen.demand, scen.cost, GPConfig(
+            alpha=0.05, blocked_mode="dynamic", tol=1e-4, max_periods=2000))
+        assert traj.converged
+        assert len(traj.records) == periods
+        assert traj.final_cost == final_cost
 
 
 class TestMessages:

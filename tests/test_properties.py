@@ -1,11 +1,13 @@
 """Cross-module structural properties of the cost model."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from cachenet.blocking import (
+    BlockedSets,
     dynamic_blocked_sets,
     server_distances,
     static_blocked_sets,
@@ -14,6 +16,7 @@ from cachenet.errors import DisconnectedDemandError, LoopError
 from cachenet.flow import T_ZERO, Strategy, dag_levels, solve_dense, solve_traffic
 from cachenet.gp import (
     GPConfig,
+    count_async_messages,
     gp_step,
     message_counts,
     run_gp,
@@ -34,6 +37,7 @@ from helpers import (
     appendix_loop_fixture,
     line_topology,
     random_loopfree_instance,
+    reference_count_async_messages,
     reference_dynamic_blocked_sets,
     reference_gp_step,
     reference_server_distances,
@@ -206,6 +210,118 @@ class TestSweepMatchesDense:
         assert marg.acyclic.tolist() == [False]
 
 
+class TestLevelReuse:
+    """The reverse sweep over the traffic solve's levels (pairs at phi <=
+    PHI_ACTIVE dropped) gives the marginals of a fresh
+    ``dag_levels(phi > PHI_ACTIVE)`` build bit for bit, also where entries
+    in (0, PHI_ACTIVE] make a cycle that only the traffic solve sees."""
+
+    FIELDS = ("dTdr", "delta_link", "delta_cache", "delta_min", "acyclic")
+
+    @staticmethod
+    def _tiny_entries(rng, strat, top):
+        """Entries in (0, PHI_ACTIVE] on some routed links, and (per item,
+        sometimes) one more reversing an active link: that item's only
+        cycle then runs through an inactive entry.  Returns the items that
+        got such a cycle."""
+        phi = strat.phi
+        tiny = np.array([1e-13, 5e-13, PHI_ACTIVE])
+        pick = (phi > 0) & (rng.random(phi.shape) < 0.2)
+        phi[pick] = rng.choice(tiny, size=int(pick.sum()))
+        looped = []
+        for k in range(strat.num_items):
+            active = np.nonzero(phi[k] > PHI_ACTIVE)[0]
+            if active.size and rng.random() < 0.5:
+                phi[k, top.rev[rng.choice(active)]] = rng.choice(tiny)
+                looped.append(k)
+        return looped
+
+    def _assert_fresh_equal(self, top, dem, cost, strat, flow, blocked):
+        """Marginals from ``flow``'s levels equal those of a fresh build;
+        returns them."""
+        reused = compute_marginals(top, dem, strat, flow, cost, blocked)
+        bare = dataclasses.replace(flow, levels=None, acyclic=None, routed=None)
+        fresh = compute_marginals(top, dem, strat, bare, cost, blocked)
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+        return reused
+
+    def _check(self, top, dem, cost, strat):
+        flow = solve_traffic(top, dem, strat, cost)
+        blocked = BlockedSets("static", strat.phi <= PHI_ACTIVE)
+        return flow, self._assert_fresh_equal(top, dem, cost, strat, flow, blocked)
+
+    def test_random_instances_with_tiny_entries(self):
+        rng = np.random.default_rng(7070)
+        filtered = fallbacks = 0
+        for _ in range(60):
+            top, dem, cost, strat = random_loopfree_instance(rng, max_nodes=8)
+            looped = self._tiny_entries(rng, strat, top)
+            flow, marg = self._check(top, dem, cost, strat)
+            assert marg.acyclic.all()
+            assert not flow.acyclic[looped].any()
+            inactive = (strat.phi != 0) & (strat.phi <= PHI_ACTIVE)
+            filtered += bool((inactive & flow.acyclic[:, None]).any())
+            fallbacks += bool(looped)
+        assert filtered > 25 and fallbacks > 40
+
+    def test_active_cycles_stay_cyclic(self):
+        # an item with a real loop above PHI_ACTIVE next to one whose loop
+        # runs through an inactive entry
+        rng = np.random.default_rng(7071)
+        for _ in range(30):
+            top, dem, cost, strat = random_loopfree_instance(rng, max_nodes=8)
+            if strat.num_items < 2:
+                continue
+            self._tiny_entries(rng, strat, top)
+            e = int(np.argmax(strat.phi[0] > PHI_ACTIVE))
+            strat.phi[0, top.rev[e]] = 0.3
+            _, marg = self._check(top, dem, cost, strat)
+            assert not marg.acyclic[0]
+
+    def test_mid_run_gp_states_on_grid25(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=3)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        traj = run_gp(top, dem, cost, GPConfig(
+            alpha=0.05, max_periods=60, tol=1e-12, blocked_mode="dynamic"))
+        self._check(top, dem, cost, traj.strategy)
+
+    def test_flow_of_an_earlier_strategy_is_leveled_anew(self):
+        # gp_step changes phi in place: links it activates are missing from
+        # the levels of the flow solved before it
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=3)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        strat = shortest_path_strategy(top, dem, cost)
+        blocked = static_blocked_sets(top, dem, cost)
+        flow = solve_traffic(top, dem, strat, cost)
+        marg = compute_marginals(top, dem, strat, flow, cost, blocked)
+        gp_step(top, dem, strat, flow, marg, blocked, 0.05,
+                np.ones_like(strat.y, dtype=bool))
+        assert ((strat.phi > PHI_ACTIVE) & ~flow.routed).any()
+        self._assert_fresh_equal(top, dem, cost, strat, flow, blocked)
+
+
+class TestAsyncMessagesMatchLoop:
+    """The all-items reachability sweep counts the same single-node update
+    messages as the per-item set search, for every updater."""
+
+    def test_random_instances_both_modes(self):
+        rng = np.random.default_rng(9090)
+        for _ in range(40):
+            top, dem, cost, strat = random_loopfree_instance(rng, max_nodes=8,
+                                                             max_items=4)
+            # sparse routing, and some entries at or below PHI_ACTIVE
+            strat.phi[rng.random(strat.phi.shape) < 0.3] = 0.0
+            strat.phi[rng.random(strat.phi.shape) < 0.1] *= 1e-13
+            for blocked in (static_blocked_sets(top, dem, cost),
+                            dynamic_blocked_sets(top, dem, strat)):
+                for node in range(top.num_nodes):
+                    got = count_async_messages(top, dem, strat, blocked, node)
+                    ref = reference_count_async_messages(top, dem, strat,
+                                                         blocked, node)
+                    assert got == ref, (blocked.mode, node)
+
+
 class TestGpStepMatchesLoop:
     """The array-form step equals the per-pair loop reference bit for bit,
     on every schedule's mask shape and on zero-traffic pairs."""
@@ -374,8 +490,9 @@ class TestDynamicSetsMatchLoop:
 
 class TestShortestPathsMatchLoop:
     """The all-items Bellman-Ford distances, the slot-wise next-hop scan and
-    the dead-end count give the heap Dijkstra's distances, the per-pair
-    scan's SP strategy and next hops, and the BFS-checked static masks."""
+    the round-wise hop counts give the heap Dijkstra's distances, the
+    per-pair scan's SP strategy and next hops, and the BFS-ordered,
+    BFS-checked static masks."""
 
     @staticmethod
     def _item(fn, *args):
@@ -432,15 +549,23 @@ class TestShortestPathsMatchLoop:
             assert self._agree(scen.topology, scen.demand, scen.cost)
 
     def test_random_tied_instances(self):
+        # connected graphs with zero-weight links and distance ties: the
+        # (distance, hops, id) order leaves no node without a way out, so
+        # every mask is compared with the loop form
         rng = np.random.default_rng(515)
-        dead_ends = 0
+        ties = 0
         for _ in range(50):
             top, dem, _, _ = random_loopfree_instance(rng, max_nodes=9,
                                                       max_items=4)
             dem, cost = self._tied_instance(rng, top, dem.num_items)
             assert self._agree(top, dem, cost)
-            dead_ends += self._item(static_blocked_sets, top, dem, cost) is not None
-        assert 10 < dead_ends < 40      # masks compared on the rest
+            assert self._item(static_blocked_sets, top, dem, cost) is None
+            w = cost.link_deriv(np.zeros(top.num_links))
+            dist = server_distances(top, dem, w)
+            servers = dem.server_mask
+            ties += bool(((dist[:, top.src] == dist[:, top.dst])
+                          & ~(servers[:, top.src] & servers[:, top.dst])).any())
+        assert ties > 40     # instances with a tie off the server-server links
 
     def test_disconnected_graphs_name_the_same_item(self):
         rng = np.random.default_rng(616)

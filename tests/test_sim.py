@@ -1,5 +1,8 @@
 """Packet-level simulator: forwarding, measurement, policies."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from cachenet.flow import Strategy, solve_traffic
 from cachenet.gp import GPConfig, run_gp, shortest_path_strategy
 from cachenet.network import Demand
 from cachenet.policies import (
+    GPOnlinePolicy,
     _costgreedy_pick,
     EvictionCache,
     EvictionPolicy,
@@ -533,3 +537,29 @@ class TestRequestWalk:
         got = np.array([r.measured_F * sched.t_monitor for r in run.records])
         assert straddled > 0
         np.testing.assert_allclose(got, expect)
+
+
+class TestSimulatorLifetime:
+    def test_simulator_freed_by_reference_counting(self):
+        # the policy keeps a reference to its simulator only during the run,
+        # so the finished simulator needs no cyclic collection
+        refs = []
+
+        class Probe(GPOnlinePolicy):
+            def setup(self, scenario, sim):
+                super().setup(scenario, sim)
+                refs.append(weakref.ref(sim))
+
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+        pol = Probe(alpha=0.01)
+        sched = SimSchedule(t_slot=2.0, slots_per_period=2, periods=2)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run = run_simulation(scen, pol, sched, seed=1)
+            assert refs and refs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert run.policy is pol and pol.sim is None
+        assert run.requests_issued > 0
