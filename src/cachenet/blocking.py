@@ -2,8 +2,9 @@
 
 Static sets come from per-item shortest distances to the nearest designated
 server (a fixed DAG per item), found by one Bellman-Ford relaxation over all
-items at once; dynamic sets come from a topological total order of the
-current positive-phi DAG, recomputed every period.
+items at once, whose node order also gives the shortest-path next hops;
+dynamic sets come from a topological total order of the current
+positive-phi DAG, recomputed every period.
 """
 
 from __future__ import annotations
@@ -63,25 +64,48 @@ def server_distances(topology, demand, weights):
     return dist
 
 
-def _server_hops(topology, server_mask, dist, weights):
+def _server_hops(topology, server_mask, tight):
     """Fewest hops to a server among each node's shortest-distance paths.
 
-    ``dist`` are the ``server_distances`` for the link prices ``weights``
-    and the (items, nodes) ``server_mask``.  A response reaches j over a
-    shortest path through link (i, j) iff dist_i + w(i, j) == dist_j (the
-    same sum the distances were found with); the hop counts grow from 0 at
-    the servers along those links, one round per hop, on all items at once.
+    ``tight`` (items, links) marks the links on a shortest path (see
+    ``_zero_flow_order``); the hop counts grow from 0 at the (items, nodes)
+    ``server_mask`` back along them, one round per hop, all items at once.
     """
     src, dst = topology.src, topology.dst
-    tight = dist[:, src] + weights == dist[:, dst]
     hops = np.where(server_mask, 0.0, np.inf)
     for _ in range(topology.num_nodes):
-        via = np.where(tight, hops[:, src] + 1.0, np.inf)
-        new = fold_out_links(dst, via, np.minimum, hops.copy())
+        via = np.where(tight, hops[:, dst] + 1.0, np.inf)
+        new = fold_out_links(src, via, np.minimum, hops.copy())
         if np.array_equal(new, hops):
             break
         hops = new
     return hops
+
+
+def _zero_flow_order(topology, demand, cost):
+    """(items, links) masks ``before`` and ``tight`` of link (i, j).
+
+    Nodes are ordered per item by (distance to a server, fewest hops among
+    shortest-distance paths, id), with the zero-flow marginals D'(0) as
+    link weights; ``before`` iff j precedes i.  ``tight`` iff dist_j +
+    D'_ji(0) == dist_i, exactly the sum the distances were found with.
+    Hop counts only decide between linked nodes of equal distance, not
+    both servers, so they are counted only for items with such a link.
+    """
+    weights = cost.link_deriv(np.zeros(topology.num_links))
+    dist = server_distances(topology, demand, weights)
+    src, dst = topology.src, topology.dst
+    servers = demand.server_mask
+    d_src, d_dst = dist[:, src], dist[:, dst]
+    tight = d_dst + weights[topology.rev] == d_src
+    tied = ((d_src == d_dst) & ~(servers[:, src] & servers[:, dst])).any(axis=1)
+    hops = np.zeros_like(dist)
+    if tied.any():
+        hops[tied] = _server_hops(topology, servers[tied], tight[tied])
+    h_src, h_dst = hops[:, src], hops[:, dst]
+    before = (d_dst < d_src) | ((d_dst == d_src) & (
+        (h_dst < h_src) | ((h_dst == h_src) & (dst < src))))
+    return before, tight
 
 
 def static_blocked_sets(topology, demand, cost):
@@ -89,34 +113,35 @@ def static_blocked_sets(topology, demand, cost):
 
     Link (i, j) is unblocked for item k iff j comes before i in the order
     of (distance to a server of k, fewest hops among shortest-distance
-    paths, id); distances use the zero-flow marginals D'(0) as link
-    weights.  An unblocked link thus always leads to a strictly smaller
-    key, so the unblocked graph per item is acyclic.  Every non-server node
-    with a path to a server keeps an unblocked out-link, even across
-    zero-weight links: its next hop on a fewest-hop shortest path is no
-    farther and one hop nearer.  Raises DisconnectedDemandError if some
-    node cannot reach a server at all (or, as a guard, is left without an
-    unblocked out-link).
-
-    Hop counts only decide between linked nodes of equal distance, not
-    both servers, so they are counted only for the items that have such a
-    link.
+    paths, id) at zero flow.  An unblocked link thus always leads to a
+    strictly smaller key, so the unblocked graph per item is acyclic.  Every
+    non-server node with a path to a server keeps an unblocked out-link,
+    even across zero-weight links: its next hop on a fewest-hop shortest
+    path is no farther and one hop nearer.  Raises DisconnectedDemandError
+    if some node cannot reach a server at all (or, as a guard, is left
+    without an unblocked out-link).
     """
-    weights = cost.link_deriv(np.zeros(topology.num_links))
-    dist = server_distances(topology, demand, weights)
-    src, dst = topology.src, topology.dst
-    servers = demand.server_mask
-    d_src, d_dst = dist[:, src], dist[:, dst]
-    tied = ((d_src == d_dst) & ~(servers[:, src] & servers[:, dst])).any(axis=1)
-    hops = np.zeros_like(dist)
-    if tied.any():
-        hops[tied] = _server_hops(topology, servers[tied], dist[tied], weights)
-    h_src, h_dst = hops[:, src], hops[:, dst]
-    before = (d_dst < d_src) | ((d_dst == d_src) & (
-        (h_dst < h_src) | ((h_dst == h_src) & (dst < src))))
+    before, _ = _zero_flow_order(topology, demand, cost)
     mask = ~before
     _check_reachability(topology, demand, mask)
     return BlockedSets(mode="static", mask=mask)
+
+
+def sp_next_links(topology, demand, cost):
+    """(items, nodes) shortest-path next link, -1 at the servers.
+
+    The next link of i is its lowest-id out-link (i, j) that is tight and
+    unblocked in the static sets.  The next hop on a fewest-hop shortest
+    path is one, so every connected non-server node has it; each hop lowers
+    the (distance, hops, id) key, so the next links form no cycle.
+    """
+    before, tight = _zero_flow_order(topology, demand, cost)
+    E = topology.num_links
+    cand = np.where(tight & before, np.arange(E), E)
+    best = fold_out_links(topology.src, cand, np.minimum,
+                          np.full(demand.server_mask.shape, E))
+    best[demand.server_mask] = -1
+    return best
 
 
 def _check_reachability(topology, demand, mask):

@@ -75,8 +75,6 @@ def build_parser():
     a.add_argument("--blocked", default="static", choices=["static", "dynamic"])
     a.add_argument("--alpha", type=float, default=0.01)
     a.add_argument("--N", type=int, default=100, help="GCFW iteration count")
-    a.add_argument("--fixed-routing", default="sp", choices=["sp"],
-                   help="routing used by the fixed-routing optimizer")
     a.add_argument("--periods", type=int, default=2000)
     a.add_argument("--tol", type=float, default=1e-4)
     a.add_argument("--capacity", type=int, default=1,

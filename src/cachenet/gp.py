@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocking import dynamic_blocked_sets, server_distances, static_blocked_sets
+from .blocking import dynamic_blocked_sets, sp_next_links, static_blocked_sets
 from .errors import CacheNetError, ConfigurationError
 from .flow import T_ZERO, Strategy, fold_out_links, solve_traffic
 from .marginals import PHI_ACTIVE, compute_marginals, vectorized_residuals
@@ -166,44 +166,16 @@ def message_counts(trajectory):
     return [r.messages for r in trajectory.records]
 
 
-def _sp_next_links(topology, demand, cost):
-    """(C, V) link index of each (item, node)'s shortest-path next hop, -1
-    at designated servers.
-
-    The next hop of i is the first out-link (i, j), in link order, whose
-    dist_j + D'_ji(0) beats the best value so far by more than 1e-15;
-    dist are the server distances at the zero-flow marginals.  One pass per
-    out-link slot (at most the maximum degree) handles every item and node
-    at once.
-    """
-    C, V = demand.num_items, topology.num_nodes
-    src, dst = topology.src, topology.dst
-    weights = cost.link_deriv(np.zeros(topology.num_links))
-    dist = server_distances(topology, demand, weights)
-    # slot[e]: position of link e among its source's out-links
-    slot = np.arange(topology.num_links) - np.searchsorted(src, src)
-    best = np.full((C, V), -1)
-    best_val = np.full((C, V), np.inf)
-    for s in range(int(slot.max(initial=-1)) + 1):
-        e = np.nonzero(slot == s)[0]
-        i = src[e]
-        val = dist[:, dst[e]] + weights[topology.rev[e]]
-        take = val < best_val[:, i] - 1e-15
-        best_val[:, i] = np.where(take, val, best_val[:, i])
-        best[:, i] = np.where(take, e, best[:, i])
-    best[demand.server_mask] = -1
-    return best
-
-
 def shortest_path_strategy(topology, demand, cost):
     """Single-next-hop shortest-path routing with y = 0 (the default start).
 
-    Uses zero-flow marginals as link weights.  A non-server node i scans its
-    neighbors j in id order and moves its next hop to j when dist_j +
-    D'_ji(0) (response-direction pricing) is below the value of the hop
-    kept so far by more than 1e-15, so a near-tie keeps the lower id.
+    Each non-server node forwards over its lowest-id neighbour j that is
+    tight (dist_j + D'_ji(0) == dist_i, response-direction pricing at the
+    zero-flow marginals) and unblocked in the static sets
+    (``blocking.sp_next_links``), so the start is loop-free and lies inside
+    the static unblocked sets.
     """
-    best = _sp_next_links(topology, demand, cost)
+    best = sp_next_links(topology, demand, cost)
     strat = Strategy(topology, demand.num_items)
     k, i = np.nonzero(best >= 0)
     strat.phi[k, best[k, i]] = 1.0
@@ -212,8 +184,9 @@ def shortest_path_strategy(topology, demand, cost):
 
 def sp_next_hops(topology, demand, cost):
     """Next-hop table {(node, item): neighbor} of the shortest-path strategy
-    (for fixed-routing use), ordered by item, then node."""
-    best = _sp_next_links(topology, demand, cost)
+    (for fixed-routing use; the same tight, unblocked, lowest-id next hops
+    from ``blocking.sp_next_links``), ordered by item, then node."""
+    best = sp_next_links(topology, demand, cost)
     k, i = np.nonzero(best >= 0)
     return dict(zip(zip(i.tolist(), k.tolist()),
                     topology.dst[best[k, i]].tolist()))

@@ -110,9 +110,6 @@ class Demand:
     def _num_nodes(rates, topology):
         return topology.num_nodes if topology is not None else rates.shape[1]
 
-    def is_server(self, node, item):
-        return node in self.servers[item]
-
     def __repr__(self):
         return f"Demand(|C|={self.num_items}, pairs={int((self.rates > 0).sum())})"
 

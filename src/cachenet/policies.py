@@ -37,9 +37,6 @@ class SimPolicy:
     def on_hit(self, node, item):
         pass
 
-    def on_miss(self, node, item):
-        pass
-
     def on_response_pass(self, node, item):
         pass
 

@@ -282,15 +282,15 @@ class Simulator:
         at time t0, and its response, in one call.
 
         Every node the request visits gets ``policy.is_hit``, and a miss
-        gets ``policy.on_miss`` and one ``token_forward`` (the failsafe
-        neighbour when the tokens give none).  Every node the response
-        passes gets ``policy.on_response_pass``.  Hops stamped before
-        ``seg_end`` go to the segment lists, later ones to ``pending``.
+        gets one ``token_forward`` (the failsafe neighbour when the tokens
+        give none).  Every node the response passes gets
+        ``policy.on_response_pass``.  Hops stamped before ``seg_end`` go to
+        the segment lists, later ones to ``pending``.
         """
         top, dem = self.scenario.topology, self.scenario.demand
         V = top.num_nodes
         policy = self.policy
-        is_hit, on_hit, on_miss = policy.is_hit, policy.on_hit, policy.on_miss
+        is_hit, on_hit = policy.is_hit, policy.on_hit
         on_response_pass = policy.on_response_pass
         token_forward = self.token_forward
         servers = dem.servers
@@ -318,7 +318,6 @@ class Simulator:
                         kind = "server" if node in servers[k] else "hit"
                         trace.write(f"{stamp:.6f} {kind} node={node} item={k}\n")
                     break
-                on_miss(node, k)
                 nxt = token_forward(node, k)
                 if nxt is None:
                     self.unroutable_total += 1

@@ -419,17 +419,15 @@ def reference_server_distances(topology, demand, weights):
     return dist
 
 
-def reference_static_blocked_sets(topology, demand, cost):
-    """Loop form of ``blocking.static_blocked_sets``: per item, a BFS from
-    the servers over the shortest-distance links for the hop counts, a
-    (distance, hops, id) comparison per link, and a reachability search
-    backwards from the servers."""
+def reference_zero_flow_keys(topology, demand, cost):
+    """Per item, the (distance, hops, id) key of every node at the zero-flow
+    marginals: a BFS from the servers over the shortest-distance links for
+    the hop counts.  Returns (weights, dist, keys)."""
     weights = cost.link_deriv(np.zeros(topology.num_links))
     dist = reference_server_distances(topology, demand, weights)
-    C, V = demand.num_items, topology.num_nodes
-    src, dst = topology.src, topology.dst
-    mask = np.ones((C, topology.num_links), dtype=bool)
-    for k in range(C):
+    V = topology.num_nodes
+    keys = []
+    for k in range(demand.num_items):
         # j's response may come over (i, j) on a shortest path iff
         # dist_i + w(i, j) == dist_j
         hops = [None] * V
@@ -438,11 +436,24 @@ def reference_static_blocked_sets(topology, demand, cost):
             hops[s] = 0
         for i in queue:     # grows while it is walked: a BFS
             for e in topology.out_edges[i]:
-                j = dst[e]
+                j = topology.dst[e]
                 if hops[j] is None and dist[k, i] + weights[e] == dist[k, j]:
                     hops[j] = hops[i] + 1
                     queue.append(j)
-        key = [(dist[k, i], hops[i], i) for i in range(V)]
+        keys.append([(dist[k, i], hops[i], i) for i in range(V)])
+    return weights, dist, keys
+
+
+def reference_static_blocked_sets(topology, demand, cost):
+    """Loop form of ``blocking.static_blocked_sets``: a (distance, hops, id)
+    comparison per link with the keys of ``reference_zero_flow_keys``, and
+    a reachability search backwards from the servers."""
+    _, _, keys = reference_zero_flow_keys(topology, demand, cost)
+    C, V = demand.num_items, topology.num_nodes
+    src, dst = topology.src, topology.dst
+    mask = np.ones((C, topology.num_links), dtype=bool)
+    for k in range(C):
+        key = keys[k]
         for e in range(topology.num_links):
             mask[k, e] = not key[dst[e]] < key[src[e]]
     for k in range(C):
@@ -492,9 +503,32 @@ def reference_shortest_path_strategy(topology, demand, cost):
     return strat
 
 
-def reference_sp_next_hops(topology, demand, cost):
-    """Loop form of ``gp.sp_next_hops``: rescans the reference strategy."""
-    strat = reference_shortest_path_strategy(topology, demand, cost)
+def reference_tight_shortest_path_strategy(topology, demand, cost):
+    """Loop form of the rule of ``blocking.sp_next_links``: each non-server
+    node i forwards to its lowest-id neighbour j with dist_j + w_ji ==
+    dist_i and key_j < key_i, keys from ``reference_zero_flow_keys``.  On
+    the presets it gives the same strategy as the per-pair scan of
+    ``reference_shortest_path_strategy``; it differs where zero-weight links
+    tie distances."""
+    weights, dist, keys = reference_zero_flow_keys(topology, demand, cost)
+    strat = Strategy(topology, demand.num_items)
+    for k in range(demand.num_items):
+        for i in range(topology.num_nodes):
+            if i in demand.servers[k]:
+                continue
+            for e in topology.out_edges[i]:     # in neighbour id order
+                j = topology.dst[e]
+                if (dist[k, j] + weights[topology.rev[e]] == dist[k, i]
+                        and keys[k][j] < keys[k][i]):
+                    strat.phi[k, e] = 1.0
+                    break
+    return strat
+
+
+def reference_sp_next_hops(topology, demand, cost,
+                           reference=reference_shortest_path_strategy):
+    """Loop form of ``gp.sp_next_hops``: rescans a reference strategy."""
+    strat = reference(topology, demand, cost)
     nh = {}
     for k in range(demand.num_items):
         for i in range(topology.num_nodes):
@@ -646,7 +680,6 @@ class ReferenceSimulator(Simulator):
             self.policy.on_hit(node, k)
             self._start_response(heap, seq, time, k, path)
             return
-        self.policy.on_miss(node, k)
         hop = self.token_forward(node, k)
         if hop is None:
             self.window_unroutable += 1

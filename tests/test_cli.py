@@ -32,7 +32,7 @@ class TestFlowLevel:
         out = tmp_path / "gc"
         rc = main([
             "--topology", "grid", "--size", "3x3", "--catalog", "4",
-            "--requests", "8", "--algorithm", "gcfw", "--fixed-routing", "sp",
+            "--requests", "8", "--algorithm", "gcfw",
             "--N", "100", "--seed", "2", "--out", str(out),
         ])
         assert rc == 0
@@ -40,6 +40,18 @@ class TestFlowLevel:
         assert len(rows) == 1
         _, hist = read_csv(f"{out}.csv")
         assert len(hist) == 101  # y^(0..N)
+
+    def test_zero_weight_links(self, tmp_path):
+        # free links tie the server distances; the shortest-path start and
+        # the fixed routes must still be loop-free
+        argv = [
+            "--topology", "grid", "--size", "4x4", "--catalog", "5",
+            "--requests", "10", "--link-cost-range", "0,0", "--periods", "20",
+            "--N", "10",
+        ]
+        for algorithm in ("gp", "gcfw"):
+            out = tmp_path / algorithm
+            assert main(argv + ["--algorithm", algorithm, "--out", str(out)]) == 0
 
     def test_eviction_requires_simulate(self, tmp_path, capsys):
         rc = main([

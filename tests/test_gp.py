@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cachenet.blocking import dynamic_blocked_sets, static_blocked_sets
-from cachenet.flow import Strategy, solve_traffic, validate_strategy
+from cachenet.fixedroute import FixedRoutingInstance
+from cachenet.flow import Strategy, dag_levels, solve_traffic, validate_strategy
 from cachenet.errors import ConfigurationError
 from cachenet.gp import (
     GPConfig,
@@ -14,6 +15,7 @@ from cachenet.gp import (
     gp_step,
     run_gp,
     shortest_path_strategy,
+    sp_next_hops,
 )
 from cachenet.marginals import check_modified_condition, compute_marginals
 from cachenet.network import (
@@ -307,6 +309,43 @@ class TestPeriodKernel:
         assert traj.converged
         assert len(traj.records) == periods
         assert traj.final_cost == final_cost
+
+
+def zero_weight_tie_fixture():
+    """Server 3; links 0 - 3, 1 - 3 and 2 - 3 at weight 1 and 1 - 2 at
+    weight 0.  Nodes 0, 1 and 2 all lie at distance 1, and each of 1 and 2
+    is a shortest-path next hop of the other."""
+    pairs = [(0, 3), (1, 3), (2, 3), (1, 2)]
+    top = Topology(4, pairs + [(j, i) for i, j in pairs])
+    dem = Demand(1, [{3}], np.array([[1.0, 1.0, 1.0, 0.0]]))
+    d = {frozenset(e): float(e != (1, 2)) for e in pairs}
+    return top, dem, symmetric_costs(top, d, [1.0] * 4)
+
+
+class TestShortestPathStart:
+    """Zero-weight ties: the start takes the lowest-id neighbour that is on a
+    shortest path and unblocked in the static sets (2 -> 1 -> 3), where a
+    scan by distance alone sent 1 -> 2 and 2 -> 1."""
+
+    def test_start_is_loop_free_inside_static_sets(self):
+        top, dem, cost = zero_weight_tie_fixture()
+        s = shortest_path_strategy(top, dem, cost)
+        _, acyclic = dag_levels(top, s.phi != 0)
+        assert acyclic.tolist() == [True]
+        assert not (s.phi[static_blocked_sets(top, dem, cost).mask] > 0).any()
+        assert sp_next_hops(top, dem, cost) == {(0, 0): 3, (1, 0): 3, (2, 0): 1}
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_run_gp_from_the_start(self, mode):
+        top, dem, cost = zero_weight_tie_fixture()
+        traj = run_gp(top, dem, cost,
+                      GPConfig(max_periods=50, blocked_mode=mode))
+        assert all(r.loop_free for r in traj.records)
+
+    def test_fixed_routes_build(self):
+        top, dem, cost = zero_weight_tie_fixture()
+        inst = FixedRoutingInstance(top, dem, cost, sp_next_hops(top, dem, cost))
+        assert inst.next_hop == {(0, 0): 3, (1, 0): 3, (2, 0): 1}
 
 
 class TestMessages:

@@ -44,6 +44,7 @@ from helpers import (
     reference_shortest_path_strategy,
     reference_sp_next_hops,
     reference_static_blocked_sets,
+    reference_tight_shortest_path_strategy,
     symmetric_costs,
 )
 
@@ -489,10 +490,11 @@ class TestDynamicSetsMatchLoop:
 
 
 class TestShortestPathsMatchLoop:
-    """The all-items Bellman-Ford distances, the slot-wise next-hop scan and
-    the round-wise hop counts give the heap Dijkstra's distances, the
-    per-pair scan's SP strategy and next hops, and the BFS-ordered,
-    BFS-checked static masks."""
+    """The all-items Bellman-Ford distances, the array next links and the
+    round-wise hop counts give the heap Dijkstra's distances, a loop
+    reference's SP strategy and next hops, and the BFS-ordered, BFS-checked
+    static masks; the SP start is always loop-free and inside the static
+    unblocked sets."""
 
     @staticmethod
     def _item(fn, *args):
@@ -503,8 +505,9 @@ class TestShortestPathsMatchLoop:
             return int(str(exc).rsplit(" ", 1)[1])
         return None
 
-    def _agree(self, top, dem, cost):
-        """Compare everything; returns False when both raise."""
+    def _agree(self, top, dem, cost, reference=reference_shortest_path_strategy):
+        """Compare everything, the SP start with ``reference``; returns
+        False when both raise."""
         w = cost.link_deriv(np.zeros(top.num_links))
         item = self._item(reference_server_distances, top, dem, w)
         if item is not None:
@@ -518,15 +521,19 @@ class TestShortestPathsMatchLoop:
             return False
         assert np.array_equal(server_distances(top, dem, w),
                               reference_server_distances(top, dem, w))
-        assert np.array_equal(shortest_path_strategy(top, dem, cost).phi,
-                              reference_shortest_path_strategy(top, dem, cost).phi)
+        start = shortest_path_strategy(top, dem, cost)
+        assert np.array_equal(start.phi, reference(top, dem, cost).phi)
         assert (list(sp_next_hops(top, dem, cost).items())
-                == list(reference_sp_next_hops(top, dem, cost).items()))
+                == list(reference_sp_next_hops(top, dem, cost, reference).items()))
+        _, acyclic = dag_levels(top, start.phi != 0)
+        assert acyclic.all()
         item = self._item(reference_static_blocked_sets, top, dem, cost)
         assert self._item(static_blocked_sets, top, dem, cost) == item
         if item is None:
-            assert np.array_equal(static_blocked_sets(top, dem, cost).mask,
+            mask = static_blocked_sets(top, dem, cost).mask
+            assert np.array_equal(mask,
                                   reference_static_blocked_sets(top, dem, cost).mask)
+            assert not (start.phi[mask] > 0).any()
         return True
 
     @staticmethod
@@ -551,14 +558,16 @@ class TestShortestPathsMatchLoop:
     def test_random_tied_instances(self):
         # connected graphs with zero-weight links and distance ties: the
         # (distance, hops, id) order leaves no node without a way out, so
-        # every mask is compared with the loop form
+        # every mask is compared with the loop form; a scan by distance
+        # alone would route in a cycle here, so the start is compared with
+        # the loop form of the tight, unblocked, lowest-id rule
         rng = np.random.default_rng(515)
         ties = 0
         for _ in range(50):
             top, dem, _, _ = random_loopfree_instance(rng, max_nodes=9,
                                                       max_items=4)
             dem, cost = self._tied_instance(rng, top, dem.num_items)
-            assert self._agree(top, dem, cost)
+            assert self._agree(top, dem, cost, reference_tight_shortest_path_strategy)
             assert self._item(static_blocked_sets, top, dem, cost) is None
             w = cost.link_deriv(np.zeros(top.num_links))
             dist = server_distances(top, dem, w)
@@ -578,5 +587,6 @@ class TestShortestPathsMatchLoop:
             top = Topology(n + b.num_nodes, list(a.links) +
                            [(i + n, j + n) for i, j in b.links])
             dem, cost = self._tied_instance(rng, top, int(rng.integers(1, 5)))
-            raised += not self._agree(top, dem, cost)
+            raised += not self._agree(top, dem, cost,
+                                      reference_tight_shortest_path_strategy)
         assert raised > 20
