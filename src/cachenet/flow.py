@@ -36,17 +36,6 @@ class Strategy:
     def set_phi(self, i, j, k, value):
         self.phi[k, self.topology.edge_index[(i, j)]] = value
 
-    def get_phi(self, i, j, k):
-        e = self.topology.edge_index.get((i, j))
-        return 0.0 if e is None else self.phi[k, e]
-
-    def rho(self, i, j, k):
-        """Conditional routing variable phi/(1-y); undefined at y=1."""
-        yv = self.y[k, i]
-        if yv >= 1.0:
-            raise ZeroDivisionError(f"rho undefined at y[{k},{i}]=1")
-        return self.get_phi(i, j, k) / (1.0 - yv)
-
     @classmethod
     def from_dicts(cls, topology, num_items, phi=None, y=None):
         """Build from {(i,j,k): value} and {(i,k): value} mappings (tests)."""
@@ -112,9 +101,10 @@ class FlowState:
 
     ``solve_traffic`` also keeps the DAG levels its forward sweep ran on:
     ``levels`` and ``acyclic`` as returned by ``dag_levels`` for the
-    (item, link) mask ``routed`` (phi != 0).  ``compute_marginals`` reuses
-    them for its reverse sweep; a FlowState built by hand (e.g. from
-    measured flows) leaves them None and the marginals level the DAG anew.
+    (item, link) mask ``routed`` (phi != 0).  ``compute_marginals`` sweeps
+    them in reverse as they are, the pairs at phi <= PHI_ACTIVE weighted 0;
+    a FlowState built by hand (e.g. from measured flows) leaves them None
+    and the marginals level the DAG anew.
     """
 
     t: np.ndarray

@@ -61,6 +61,7 @@ def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):
     unblocked hop of least delta, ties to the lowest neighbor id.  Servers
     and pairs without an unblocked out-link are left alone.  Each node sums
     its removed mass over its out-links in link order, then the cache.
+    ``marg`` must be computed with the same ``blocked``.
     """
     src, dst = topology.src, topology.dst
     phi, y = strategy.phi, strategy.y
@@ -94,10 +95,11 @@ def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):
     with np.errstate(invalid="ignore"):   # inf - inf where delta_min is inf
         excess = np.subtract(marg.delta_link, gather(marg.delta_min), out=work)
         e_cache = marg.delta_cache - marg.delta_min
-    receivers = busy_e & unblocked & (excess == 0.0)
+    ties = unblocked & (excess == 0.0)
+    receivers = busy_e & ties
     cache_receives = busy & (e_cache == 0.0)
-    n = per_node(receivers) + cache_receives
-    stuck = busy & (n == 0)          # only where delta_min is inf or NaN
+    n = per_node(ties) + cache_receives
+    stuck = pairs & (n == 0)         # only where delta_min is inf or NaN
     if stuck.any():
         i, k = np.argwhere(stuck.T)[0]
         raise CacheNetError(f"no minimum-marginal direction at node {i}, item {k}")
@@ -110,14 +112,11 @@ def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):
     removed[~shed] = 0.0
     np.copyto(removed, phi, where=busy_e & blocked.mask)
     if idle.any():
-        # best unblocked hop: least delta, then lowest neighbor id
-        np.copyto(as_float, marg.delta_link)
-        as_float[blocked.mask] = np.inf
-        least = per_node(as_float, np.minimum, np.inf)
-        cand = unblocked & (marg.delta_link == gather(least))
+        # best unblocked hop: a tie at delta_min (the cache is +inf at
+        # t = 0), then the lowest neighbor id
         np.copyto(as_float, dst)
-        as_float[~cand] = V
-        best = cand & (dst == gather(per_node(as_float, np.minimum, V)))
+        as_float[~ties] = V
+        best = ties & (dst == gather(per_node(as_float, np.minimum, V)))
         np.copyto(removed, phi, where=idle_e & ~best)
     else:
         best = np.zeros_like(unblocked)
@@ -231,11 +230,11 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
 
     Per period: (re)compute blocked sets, level each item's routing DAG
     once and solve traffic by a forward sweep over it, get the marginals by
-    a reverse sweep over the same levels (restricted to phi > PHI_ACTIVE),
-    apply one ``gp_step`` to the pairs the schedule selects (every pair
-    with a positive residual, or all items at one node), and record cost /
-    residual / broadcast-message counts.  A routing loop (an item whose
-    positive-phi subgraph is not a DAG) raises.
+    a reverse sweep over the same levels (the pairs at phi <= PHI_ACTIVE
+    weighted 0), apply one ``gp_step`` to the pairs the schedule selects
+    (every pair with a positive residual, or all items at one node), and
+    record cost / residual / broadcast-message counts.  A routing loop (an
+    item whose positive-phi subgraph is not a DAG) raises.
     """
     config = config or GPConfig()
     zero_b = cost.cache.deriv_is_zero()

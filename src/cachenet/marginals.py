@@ -51,39 +51,6 @@ class MarginalState:
     acyclic: np.ndarray = None
 
 
-def active_levels(topology, flow, active):
-    """``dag_levels(topology, active)`` for the (num_items, num_links) mask
-    ``active``, from the levels the traffic solve left on ``flow``.
-
-    When ``active`` lies inside the mask those levels were built on, the
-    pairs outside ``active`` are dropped from each level.  A subgraph of a
-    DAG keeps a valid layering, and each node's out-links still share one
-    level in link order, so a sweep over the result adds the same terms in
-    the same order as over a fresh build.  Items that were cyclic may have
-    lost their only cycle (one through entries outside ``active``); only
-    those are leveled anew, and their levels are joined level by level.
-    A ``flow`` without levels, or whose levels miss an active pair, gets a
-    fresh build.
-    """
-    if flow.routed is None or (active & ~flow.routed).any():
-        return dag_levels(topology, active)
-    keep_pair = active.ravel()
-    levels = []
-    for link, pair, src, dst in flow.levels:
-        keep = keep_pair[pair]
-        levels.append((link[keep], pair[keep], src[keep], dst[keep]))
-    acyclic = flow.acyclic
-    if not acyclic.all():
-        # rows acyclic before have no pairs here and come back acyclic
-        extra, acyclic = dag_levels(topology, active & ~acyclic[:, None])
-        joined = []
-        for n in range(max(len(levels), len(extra))):
-            parts = [lv[n] for lv in (levels, extra) if n < len(lv)]
-            joined.append(tuple(np.concatenate(col) for col in zip(*parts)))
-        levels = joined
-    return levels, acyclic
-
-
 def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     """Compute dT/dr and the delta marginals for every (node, item).
 
@@ -91,10 +58,15 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     active subgraph is acyclic are evaluated by one reverse sweep over its
     levels (the broadcast order used by the online algorithm: each node
     sums phi * (D' + dT/dr) over its out-links in link order); items with a
-    cycle fall back to the transposed dense solve.  The levels are those
-    ``solve_traffic`` built and left on ``flow`` (see ``active_levels``),
-    so a period levels its routing DAG once.  When ``blocked`` is given,
-    delta_min minimizes only over unblocked neighbors.
+    cycle fall back to the transposed dense solve.  The sweep runs over the
+    levels ``solve_traffic`` built and left on ``flow``, as they are, with
+    the pairs at phi <= PHI_ACTIVE weighted 0: each adds +0.0 to its node's
+    sum, so every value is the one a sweep over the active pairs alone
+    gives, and a period levels its routing DAG once.  The active subgraph
+    is leveled anew when ``flow`` has no levels, when one of its items is
+    cyclic, or when an active pair lies outside the mask its levels were
+    built on.  When ``blocked`` is given, delta_min minimizes only over
+    unblocked neighbors.
     """
     V, C = topology.num_nodes, demand.num_items
     phi = strategy.phi
@@ -103,8 +75,13 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     # cost of forwarding over edge e=(i,j): response returns on rev(e)
     resp_deriv = Dp[topology.rev]
 
-    levels, acyclic = active_levels(topology, flow, phi > PHI_ACTIVE)
-    dTdr = sweep_reverse(levels, phi, resp_deriv, V)
+    active = phi > PHI_ACTIVE
+    if (flow.routed is None or not flow.acyclic.all()
+            or (active & ~flow.routed).any()):
+        levels, acyclic = dag_levels(topology, active)
+    else:
+        levels, acyclic = flow.levels, flow.acyclic
+    dTdr = sweep_reverse(levels, np.where(active, phi, 0.0), resp_deriv, V)
     cyclic = ~acyclic
     if cyclic.any():
         phi_c = phi[cyclic]
@@ -262,25 +239,31 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
     return pair, parts, delta
 
 
-def modified_condition_residuals(topology, demand, strategy, flow, marg,
-                                 blocked=None, cache_caps=None, record_above=0.0):
-    """Per-(i,k) residuals of the modified condition; returns
-    (worst, violations, delta_used).
+def check_modified_condition(topology, demand, strategy, cost, blocked=None,
+                             tol=1e-6, cache_caps=None, flow=None, marg=None):
+    """Residuals of the modified condition (the strengthened KKT form).
 
-    Caching residuals are scaled by max(1, t_i(k)) so tolerances are
-    rate-independent; ``cache_caps`` is as in ``vectorized_residuals``.
-    Residuals at or below ``record_above`` contribute to the worst value but
-    are not itemized.
+    Active caching requires |B'_i - t_i delta_i| <= tol * max(1, t_i); active
+    routing requires |delta_ij - delta_i| <= tol; inactive directions must
+    not beat the minimum by more than tol.  With ``blocked`` given the
+    neighbor set is restricted to unblocked next hops.  Caching residuals
+    are scaled by max(1, t_i(k)) so tolerances are rate-independent;
+    ``cache_caps`` is as in ``vectorized_residuals``.  Residuals at or
+    below ``tol`` count toward the worst value but are not itemized.
     """
+    if flow is None:
+        flow = solve_traffic(topology, demand, strategy, cost)
+    if marg is None:
+        marg = compute_marginals(topology, demand, strategy, flow, cost, blocked)
     pair, parts, delta = vectorized_residuals(
         topology, demand, strategy, flow, marg, blocked, cache_caps=cache_caps
     )
     worst = float(pair.max()) if pair.size else 0.0
     violations = []
-    if worst > record_above:
+    if worst > tol:
         links = topology.links
         for name, arr in parts.items():
-            for idx in np.argwhere(arr > record_above):
+            for idx in np.argwhere(arr > tol):
                 if name.startswith("r"):
                     k, e = idx
                     loc = ("route" if name != "r_block" else "blocked_mass",
@@ -289,27 +272,7 @@ def modified_condition_residuals(topology, demand, strategy, flow, marg,
                     k, i = idx
                     loc = ("cache_t0" if name == "c_t0" else "cache", int(i), int(k))
                 violations.append((loc, float(arr[tuple(idx)])))
-    return worst, violations, np.array(delta, copy=True)
-
-
-def check_modified_condition(topology, demand, strategy, cost, blocked=None,
-                             tol=1e-6, cache_caps=None, flow=None, marg=None):
-    """Residuals of the modified condition (the strengthened KKT form).
-
-    Active caching requires |B'_i - t_i delta_i| <= tol * max(1, t_i); active
-    routing requires |delta_ij - delta_i| <= tol; inactive directions must
-    not beat the minimum by more than tol.  With ``blocked`` given the
-    neighbor set is restricted to unblocked next hops.
-    """
-    if flow is None:
-        flow = solve_traffic(topology, demand, strategy, cost)
-    if marg is None:
-        marg = compute_marginals(topology, demand, strategy, flow, cost, blocked)
-    worst, violations, delta_used = modified_condition_residuals(
-        topology, demand, strategy, flow, marg, blocked, cache_caps,
-        record_above=tol,
-    )
     return ConditionReport(
-        kind="modified", multipliers=delta_used, worst=worst,
+        kind="modified", multipliers=np.array(delta, copy=True), worst=worst,
         violations=violations, tol=tol, passed=worst <= tol,
     )

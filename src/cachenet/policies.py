@@ -242,9 +242,6 @@ class SpRoutingMixin:
         j = self.next_hop.get((node, item))
         return [] if j is None else [(j, 1.0)]
 
-    def failsafe_neighbors(self, node, item):
-        return sorted(self.scenario.topology.neighbors[node])
-
 
 class EvictionPolicy(SpRoutingMixin, SimPolicy):
     """SP routing with capacity caches managed by LRU/LFU eviction;
@@ -389,13 +386,15 @@ def flow_costgreedy(scenario, max_steps=None):
     every node it passes uncached, the response-path cost from its serving
     point back to that node.  That is the fixed-routing saved cost over the
     shortest-path next hops at zero-flow prices, zero at cached nodes and
-    servers.
+    servers.  At most ``max_steps`` pairs are added (None: up to every
+    (node, item) pair; 0 reports the cost without caches).
     """
     top, dem, cost = scenario.topology, scenario.demand, scenario.cost
     inst = FixedRoutingInstance(top, dem, cost, sp_next_hops(top, dem, cost))
     prices = cost.link_deriv(np.zeros(top.num_links))[top.rev]
     cached = np.zeros(dem.server_mask.shape, dtype=bool)
-    max_steps = max_steps or top.num_nodes * dem.num_items
+    if max_steps is None:
+        max_steps = top.num_nodes * dem.num_items
 
     def evaluate():
         y = cached.astype(float)

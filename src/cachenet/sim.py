@@ -48,6 +48,8 @@ class SimSchedule:
     hop_latency: float = 0.01
 
     def __post_init__(self):
+        if self.periods < 1:
+            raise ConfigurationError("need at least one period")
         if self.slots_per_period < 1:
             raise ConfigurationError("need at least one slot per period")
         if self.t_monitor is None:

@@ -17,7 +17,7 @@ from cachenet.gp import (
     shortest_path_strategy,
     sp_next_hops,
 )
-from cachenet.marginals import check_modified_condition, compute_marginals
+from cachenet.marginals import PHI_ACTIVE, check_modified_condition, compute_marginals
 from cachenet.network import (
     CostModel,
     Demand,
@@ -308,6 +308,33 @@ class TestPeriodKernel:
             alpha=0.05, blocked_mode="dynamic", tol=1e-4, max_periods=2000))
         assert traj.converged
         assert len(traj.records) == periods
+        assert traj.final_cost == final_cost
+
+    @pytest.mark.parametrize("mode, alpha, tiny_periods, final_cost", [
+        ("static", 0.05, 15, 1413.155779433875),
+        ("dynamic", 0.1, 223, 2404.508761442771),
+    ])
+    def test_fog_tiny_fractions_trajectory_pinned(self, monkeypatch, mode,
+                                                  alpha, tiny_periods,
+                                                  final_cost):
+        # fog seed 2 leaves routing fractions in (0, PHI_ACTIVE] behind,
+        # which the marginal sweep weights 0; the grid-25 pins never see one
+        import cachenet.gp
+
+        tiny = []
+        compute = cachenet.gp.compute_marginals
+
+        def counted(topology, demand, strategy, *args):
+            phi = strategy.phi
+            tiny.append(bool(((phi > 0) & (phi <= PHI_ACTIVE)).any()))
+            return compute(topology, demand, strategy, *args)
+
+        monkeypatch.setattr(cachenet.gp, "compute_marginals", counted)
+        scen = generate_scenario(TABLE_PRESETS["fog"], 2)
+        traj = run_gp(scen.topology, scen.demand, scen.cost, GPConfig(
+            alpha=alpha, blocked_mode=mode, tol=1e-4, max_periods=300))
+        assert len(traj.records) == 300
+        assert sum(tiny) == tiny_periods
         assert traj.final_cost == final_cost
 
 

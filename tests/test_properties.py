@@ -212,8 +212,8 @@ class TestSweepMatchesDense:
 
 
 class TestLevelReuse:
-    """The reverse sweep over the traffic solve's levels (pairs at phi <=
-    PHI_ACTIVE dropped) gives the marginals of a fresh
+    """The reverse sweep over the traffic solve's levels as built (pairs at
+    phi <= PHI_ACTIVE weighted 0) gives the marginals of a fresh
     ``dag_levels(phi > PHI_ACTIVE)`` build bit for bit, also where entries
     in (0, PHI_ACTIVE] make a cycle that only the traffic solve sees."""
 

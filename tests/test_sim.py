@@ -296,6 +296,13 @@ class TestBaselines:
         assert best <= t0
         assert best == min(costs)
 
+    def test_flow_costgreedy_zero_steps_keeps_start(self):
+        spec = ScenarioSpec("grid", (3, 3), catalog=4, requests=8)
+        scen = generate_scenario(spec, seed=5)
+        best, sets, costs = flow_costgreedy(scen, max_steps=0)
+        assert costs == [best]
+        assert not any(sets)
+
     def test_costgreedy_pick_matches_loop(self):
         # few distinct values, so ties are common; cached pairs and servers
         # may hold the largest value
