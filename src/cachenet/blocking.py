@@ -2,13 +2,15 @@
 
 Static sets come from per-item shortest distances to the nearest designated
 server (a fixed DAG per item), found by one Bellman-Ford relaxation over all
-items at once, whose node order also gives the shortest-path next hops;
+items at once and kept for the instance, whose node order also gives the
+shortest-path next hops;
 dynamic sets come from a topological total order of the current
 positive-phi DAG, recomputed every period.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,17 +84,25 @@ def _server_hops(topology, server_mask, tight):
     return hops
 
 
-def _zero_flow_order(topology, demand, cost):
+@functools.lru_cache(maxsize=1)
+def _zero_flow_order(topology, demand, link_costs):
     """(items, links) masks ``before`` and ``tight`` of link (i, j).
 
     Nodes are ordered per item by (distance to a server, fewest hops among
-    shortest-distance paths, id), with the zero-flow marginals D'(0) as
-    link weights; ``before`` iff j precedes i.  ``tight`` iff dist_j +
-    D'_ji(0) == dist_i, exactly the sum the distances were found with.
-    Hop counts only decide between linked nodes of equal distance, not
-    both servers, so they are counted only for items with such a link.
+    shortest-distance paths, id), with the zero-flow marginals D'(0) of
+    ``link_costs`` as link weights; ``before`` iff j precedes i.  ``tight``
+    iff dist_j + D'_ji(0) == dist_i, exactly the sum the distances were
+    found with.  Hop counts only decide between linked nodes of equal
+    distance, not both servers, so they are counted only for items with
+    such a link.
+
+    The masks depend only on the topology, the demand and the link costs,
+    whose arrays are all read-only, so they are kept (read-only) for the
+    last instance, keyed on the identity of those three objects: the
+    static sets, the shortest-path start and its next hops share one
+    Bellman-Ford per instance.
     """
-    weights = cost.link_deriv(np.zeros(topology.num_links))
+    weights = link_costs.deriv(np.zeros(topology.num_links))
     dist = server_distances(topology, demand, weights)
     src, dst = topology.src, topology.dst
     servers = demand.server_mask
@@ -105,6 +115,7 @@ def _zero_flow_order(topology, demand, cost):
     h_src, h_dst = hops[:, src], hops[:, dst]
     before = (d_dst < d_src) | ((d_dst == d_src) & (
         (h_dst < h_src) | ((h_dst == h_src) & (dst < src))))
+    before.flags.writeable = tight.flags.writeable = False
     return before, tight
 
 
@@ -119,9 +130,11 @@ def static_blocked_sets(topology, demand, cost):
     even across zero-weight links: its next hop on a fewest-hop shortest
     path is no farther and one hop nearer.  Raises DisconnectedDemandError
     if some node cannot reach a server at all (or, as a guard, is left
-    without an unblocked out-link).
+    without an unblocked out-link), on every call.  The order is built once
+    per instance and kept; each call returns a fresh mask that the caller
+    may write into.
     """
-    before, _ = _zero_flow_order(topology, demand, cost)
+    before, _ = _zero_flow_order(topology, demand, cost.link)
     mask = ~before
     _check_reachability(topology, demand, mask)
     return BlockedSets(mode="static", mask=mask)
@@ -135,7 +148,7 @@ def sp_next_links(topology, demand, cost):
     path is one, so every connected non-server node has it; each hop lowers
     the (distance, hops, id) key, so the next links form no cycle.
     """
-    before, tight = _zero_flow_order(topology, demand, cost)
+    before, tight = _zero_flow_order(topology, demand, cost.link)
     E = topology.num_links
     cand = np.where(tight & before, np.arange(E), E)
     best = fold_out_links(topology.src, cand, np.minimum,

@@ -127,6 +127,9 @@ def dag_levels(topology, active):
     whose active in-links all lie in levels < L, so a node's out-links share
     one level and keep ascending link order inside it.  Items whose active
     subgraph has a cycle get ``acyclic[k] = False`` and contribute no pairs.
+    Each round touches only the pairs not yet placed, and takes the ready
+    ones off their heads' in-degrees, so the build costs the number of
+    pairs times the levels they wait, not the nodes of every item.
 
     Returns (levels, acyclic).  Each level is a tuple of index arrays
     (link, pair, src, dst): the link, the flat (item, link) index, and the
@@ -134,24 +137,27 @@ def dag_levels(topology, active):
     """
     C, E = active.shape
     V = topology.num_nodes
-    k, e = np.nonzero(active)
+    pair = np.flatnonzero(active)
+    k = np.repeat(np.arange(C), np.count_nonzero(active, axis=1))
+    e = pair - k * E
     src = k * V + topology.src[e]
     dst = k * V + topology.dst[e]
     indeg = np.bincount(dst, minlength=C * V)
     groups = []
+    rest = np.arange(pair.size)
     ready = indeg[src] == 0
     while ready.any():
-        groups.append((k[ready], e[ready], src[ready], dst[ready]))
-        indeg -= np.bincount(dst[ready], minlength=C * V)
-        rest = ~ready
-        k, e, src, dst = k[rest], e[rest], src[rest], dst[rest]
-        ready = indeg[src] == 0
+        placed = rest[ready]
+        groups.append(placed)
+        np.subtract.at(indeg, dst[placed], 1)
+        rest = rest[~ready]
+        ready = indeg[src[rest]] == 0
     acyclic = np.ones(C, dtype=bool)
-    acyclic[k] = False  # links left over lie on or behind a cycle
+    acyclic[k[rest]] = False  # links left over lie on or behind a cycle
     levels = []
-    for gk, ge, gs, gd in groups:
-        keep = acyclic[gk]
-        levels.append((ge[keep], gk[keep] * E + ge[keep], gs[keep], gd[keep]))
+    for placed in groups:
+        placed = placed[acyclic[k[placed]]]
+        levels.append((e[placed], pair[placed], src[placed], dst[placed]))
     return levels, acyclic
 
 

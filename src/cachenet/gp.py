@@ -27,6 +27,13 @@ from .marginals import PHI_ACTIVE, compute_marginals, vectorized_residuals
 DIVERGENCE_FACTOR = 1e3
 
 
+def require_finite_positive(value, name):
+    """Raise ConfigurationError unless ``value`` is a finite number above 0
+    (NaN passes ``value <= 0``; an infinite step or tolerance never ends)."""
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass
 class GPConfig:
     alpha: float = 0.01
@@ -37,12 +44,10 @@ class GPConfig:
     seed: int = 0                     # for the random asynchronous schedule
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigurationError("stepsize alpha must be positive")
+        require_finite_positive(self.alpha, "stepsize alpha")
         if self.max_periods < 1:
             raise ConfigurationError("max_periods must be at least 1")
-        if self.tol <= 0:
-            raise ConfigurationError("convergence tolerance must be positive")
+        require_finite_positive(self.tol, "convergence tolerance")
         if self.schedule not in ("synchronous", "round-robin", "random"):
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
         if self.blocked_mode not in ("static", "dynamic"):
@@ -228,13 +233,17 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
     """Iterate gradient-projection periods until the restricted modified
     condition holds or the period budget runs out.
 
-    Per period: (re)compute blocked sets, level each item's routing DAG
-    once and solve traffic by a forward sweep over it, get the marginals by
-    a reverse sweep over the same levels (the pairs at phi <= PHI_ACTIVE
-    weighted 0), apply one ``gp_step`` to the pairs the schedule selects
-    (every pair with a positive residual, or all items at one node), and
-    record cost / residual / broadcast-message counts.  A routing loop (an
-    item whose positive-phi subgraph is not a DAG) raises.
+    Static blocked sets are fixed for the run and read off the instance's
+    zero-flow order, which is built once per instance and shared with
+    ``shortest_path_strategy`` and every later call on the instance.  Per
+    period: compute the dynamic blocked sets (dynamic mode only), level
+    each item's routing DAG once and solve traffic by a forward sweep over
+    it, get the marginals by a reverse sweep over the same levels (the
+    pairs at phi <= PHI_ACTIVE weighted 0), apply one ``gp_step`` to the
+    pairs the schedule selects (every pair with a positive residual, or all
+    items at one node), and record cost / residual / broadcast-message
+    counts.  A routing loop (an item whose positive-phi subgraph is not a
+    DAG) raises.
     """
     config = config or GPConfig()
     zero_b = cost.cache.deriv_is_zero()

@@ -11,7 +11,12 @@ import numpy as np
 from .blocking import dynamic_blocked_sets, static_blocked_sets
 from .fixedroute import FixedRoutingInstance, gcfw
 from .flow import FlowState, solve_traffic
-from .gp import gp_step, shortest_path_strategy, sp_next_hops
+from .gp import (
+    gp_step,
+    require_finite_positive,
+    shortest_path_strategy,
+    sp_next_hops,
+)
 from .marginals import compute_marginals
 from .rounding import build_bar_map, sample_decision, slot_uniform
 
@@ -119,6 +124,7 @@ class GPOnlinePolicy(RelaxedStrategyPolicy):
     name = "gp"
 
     def __init__(self, alpha=0.01, blocked_mode="static", initial=None):
+        require_finite_positive(alpha, "stepsize alpha")
         self.alpha = alpha
         self.blocked_mode = blocked_mode
         self._initial = initial

@@ -126,6 +126,33 @@ def fd_phi_pair(topology, demand, strategy, cost, k, e_plus, e_minus, h=1e-6):
 # ---------------------------------------------------------------------------
 
 
+def reference_dag_levels(topology, active):
+    """Compacting form of ``flow.dag_levels``: every round recounts the
+    ready pairs' heads over all (item, node) slots with a ``bincount`` and
+    compacts all four per-pair arrays to the pairs still waiting."""
+    C, E = active.shape
+    V = topology.num_nodes
+    k, e = np.nonzero(active)
+    src = k * V + topology.src[e]
+    dst = k * V + topology.dst[e]
+    indeg = np.bincount(dst, minlength=C * V)
+    groups = []
+    ready = indeg[src] == 0
+    while ready.any():
+        groups.append((k[ready], e[ready], src[ready], dst[ready]))
+        indeg -= np.bincount(dst[ready], minlength=C * V)
+        rest = ~ready
+        k, e, src, dst = k[rest], e[rest], src[rest], dst[rest]
+        ready = indeg[src] == 0
+    acyclic = np.ones(C, dtype=bool)
+    acyclic[k] = False  # links left over lie on or behind a cycle
+    levels = []
+    for gk, ge, gs, gd in groups:
+        keep = acyclic[gk]
+        levels.append((ge[keep], gk[keep] * E + ge[keep], gs[keep], gd[keep]))
+    return levels, acyclic
+
+
 def topological_order(topology, active_out):
     """Deterministic topological order of the positive-edge subgraph.
 

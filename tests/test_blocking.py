@@ -6,9 +6,11 @@ import pytest
 from cachenet.blocking import dynamic_blocked_sets, static_blocked_sets
 from cachenet.errors import DisconnectedDemandError, LoopError
 from cachenet.flow import Strategy, dag_levels
+from cachenet.gp import GPConfig, run_gp, shortest_path_strategy, sp_next_hops
 from cachenet.network import Demand, Topology
+from cachenet.scenarios import TABLE_PRESETS, generate_scenario
 
-from helpers import line_topology, symmetric_costs
+from helpers import line_topology, reference_static_blocked_sets, symmetric_costs
 
 
 def grid2x2():
@@ -96,6 +98,70 @@ class TestStaticSets:
         assert not b.is_blocked(top, 1, 2, 0)
         assert b.is_blocked(top, 2, 1, 0)
         assert not b.is_blocked(top, 2, 0, 0)
+
+
+class TestZeroFlowMemo:
+    """The zero-flow layer (Bellman-Ford distances and node order) is built
+    once per (topology, demand, link costs) and shared by every caller."""
+
+    @staticmethod
+    def _count_distances(monkeypatch):
+        import cachenet.blocking
+
+        calls = []
+        server_distances = cachenet.blocking.server_distances
+
+        def counted(*args):
+            calls.append(args[1])
+            return server_distances(*args)
+
+        monkeypatch.setattr(cachenet.blocking, "server_distances", counted)
+        return calls
+
+    def test_one_bellman_ford_per_instance(self, monkeypatch):
+        calls = self._count_distances(monkeypatch)
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=5)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        strategy = shortest_path_strategy(top, dem, cost)
+        sp_next_hops(top, dem, cost)
+        static_blocked_sets(top, dem, cost)
+        for _ in range(3):
+            strategy = run_gp(top, dem, cost, GPConfig(
+                alpha=0.05, max_periods=3, tol=1e-12),
+                initial_strategy=strategy).strategy
+        assert len(calls) == 1
+
+    def test_written_mask_does_not_reach_the_next_call(self):
+        top, dem, cost = grid2x2()
+        first = static_blocked_sets(top, dem, cost)
+        clean = first.mask.copy()
+        first.mask[:] = ~first.mask
+        again = static_blocked_sets(top, dem, cost)
+        assert again.mask.flags.writeable
+        assert np.array_equal(again.mask, clean)
+
+    def test_other_servers_get_their_own_sets(self, monkeypatch):
+        calls = self._count_distances(monkeypatch)
+        top, dem, cost = grid2x2()
+        other = Demand(1, [{3}], np.array([[1.0, 1.0, 1.0, 0.0]]))
+        for demand in (dem, other, dem):
+            assert np.array_equal(
+                static_blocked_sets(top, demand, cost).mask,
+                reference_static_blocked_sets(top, demand, cost).mask)
+        assert calls == [dem, other, dem]
+        assert not np.array_equal(static_blocked_sets(top, dem, cost).mask,
+                                  static_blocked_sets(top, other, cost).mask)
+
+    def test_disconnected_raises_on_every_call(self):
+        top = Topology(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        dem = Demand(1, [{0}], np.array([[0.0, 0.0, 1.0, 0.0]]))
+        cost = symmetric_costs(
+            top, {frozenset((0, 1)): 1.0, frozenset((2, 3)): 1.0}, [1.0] * 4
+        )
+        for call in (static_blocked_sets, static_blocked_sets,
+                     shortest_path_strategy, sp_next_hops, static_blocked_sets):
+            with pytest.raises(DisconnectedDemandError):
+                call(top, dem, cost)
 
 
 class TestDynamicSets:

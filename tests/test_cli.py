@@ -1,5 +1,6 @@
 """Experiment CLI: flags, CSV contracts, determinism, sweeps."""
 
+import pytest
 import yaml
 
 from cachenet.cli import main
@@ -146,6 +147,21 @@ class TestErrors:
             assert rc == 2, run
             err = capsys.readouterr().err
             assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [
+        ["--alpha", "nan"], ["--alpha", "inf"], ["--tol", "nan"],
+        ["--alpha", "-1", "--simulate"], ["--alpha", "nan", "--simulate"],
+    ])
+    def test_non_finite_or_negative_step_is_reported(self, tmp_path, capsys, bad):
+        rc = main([
+            "--topology", "grid", "--size", "3x3", "--catalog", "4",
+            "--requests", "8", "--algorithm", "gp", "--periods", "3", *bad,
+            "--out", str(tmp_path / "a"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert "finite and positive" in err
 
     def test_bad_spec_is_reported(self, tmp_path, capsys):
         rc = main([

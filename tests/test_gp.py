@@ -25,7 +25,7 @@ from cachenet.network import (
     linear_cache_costs,
     linear_link_costs,
 )
-
+from cachenet.policies import GPOnlinePolicy
 from cachenet.scenarios import TABLE_PRESETS, generate_scenario
 
 from helpers import line_topology, symmetric_costs
@@ -160,6 +160,17 @@ class TestRunGp:
     def test_no_periods_rejected(self):
         with pytest.raises(ConfigurationError):
             GPConfig(max_periods=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"alpha": float("nan")}, {"alpha": float("inf")}, {"alpha": -1.0},
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
+    ])
+    def test_non_finite_or_non_positive_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            GPConfig(**bad)
+        if "alpha" in bad:
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                GPOnlinePolicy(alpha=bad["alpha"])
 
     def test_immediate_termination_at_fixed_point(self):
         top = line_topology(2)
@@ -336,6 +347,20 @@ class TestPeriodKernel:
         assert len(traj.records) == 300
         assert sum(tiny) == tiny_periods
         assert traj.final_cost == final_cost
+
+    def test_grid100_three_period_calls_pinned(self):
+        # the benchmark's grid-100 run: static sets, calls of 3 periods,
+        # each resuming from the last one's strategy on the same instance
+        scen = generate_scenario(TABLE_PRESETS["grid-100"], 1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        strategy = shortest_path_strategy(top, dem, cost)
+        cfg = GPConfig(alpha=0.01, blocked_mode="static", tol=1e-4,
+                       max_periods=3)
+        for _ in range(30):
+            traj = run_gp(top, dem, cost, cfg, initial_strategy=strategy)
+            assert len(traj.records) == 3
+            strategy = traj.strategy
+        assert traj.final_cost == 2218.230513040058
 
 
 def zero_weight_tie_fixture():

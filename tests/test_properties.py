@@ -38,6 +38,7 @@ from helpers import (
     line_topology,
     random_loopfree_instance,
     reference_count_async_messages,
+    reference_dag_levels,
     reference_dynamic_blocked_sets,
     reference_gp_step,
     reference_server_distances,
@@ -209,6 +210,64 @@ class TestSweepMatchesDense:
         assert np.array_equal(fs.t, solve_dense(top, loop.phi, dem.rates))
         marg = compute_marginals(top, dem, loop, fs, cost)
         assert marg.acyclic.tolist() == [False]
+
+
+class TestLevelsMatchLoop:
+    """``dag_levels`` gives the compacting loop's levels, array for array
+    (values and dtype), and the same acyclic flags."""
+
+    @staticmethod
+    def _check(top, active):
+        levels, acyclic = dag_levels(top, active)
+        ref_levels, ref_acyclic = reference_dag_levels(top, active)
+        assert np.array_equal(acyclic, ref_acyclic)
+        assert acyclic.dtype == ref_acyclic.dtype
+        assert len(levels) == len(ref_levels)
+        for got, ref in zip(levels, ref_levels):
+            for a, b in zip(got, ref, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        return acyclic
+
+    def test_random_masks(self):
+        # dense random masks have cycles; rows are emptied at random, every
+        # fourth mask has a single item and density 0 gives all-false ones
+        rng = np.random.default_rng(1212)
+        cyclic = mixed = empty_rows = 0
+        for n in range(80):
+            top, _, _, strat = random_loopfree_instance(rng, max_nodes=8)
+            C = 1 if n % 4 == 0 else int(rng.integers(1, 6))
+            density = rng.choice([0.0, 0.1, 0.3, 0.6])
+            active = rng.random((C, top.num_links)) < density
+            active[rng.random(C) < 0.3] = False
+            acyclic = self._check(top, active)
+            cyclic += int((~acyclic).sum())
+            mixed += bool(acyclic.any() and not acyclic.all())
+            empty_rows += int((~active.any(axis=1)).sum())
+            # acyclic routing with one reversed link per chosen item
+            routed = strat.phi != 0
+            self._check(top, routed)
+            for k in range(strat.num_items):
+                on = np.flatnonzero(routed[k])
+                if on.size and rng.random() < 0.5:
+                    routed[k, top.rev[rng.choice(on)]] = True
+            self._check(top, routed)
+        self._check(top, np.zeros((3, top.num_links), dtype=bool))
+        assert cyclic > 40 and mixed > 10 and empty_rows > 20
+
+    @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
+    def test_preset_sp_starts(self, preset):
+        scen = generate_scenario(TABLE_PRESETS[preset], seed=1)
+        start = shortest_path_strategy(scen.topology, scen.demand, scen.cost)
+        assert self._check(scen.topology, start.phi != 0).all()
+
+    def test_mid_run_grid100_state(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-100"], seed=1)
+        top = scen.topology
+        traj = run_gp(top, scen.demand, scen.cost,
+                      GPConfig(alpha=0.01, max_periods=30, tol=1e-12))
+        phi = traj.strategy.phi
+        assert self._check(top, phi != 0).all()
+        assert self._check(top, phi > PHI_ACTIVE).all()
 
 
 class TestLevelReuse:
