@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllRoutedError
-from .flow import Strategy, dag_levels, sweep_forward, sweep_reverse
+from .errors import ConfigurationError, IllRoutedError
+from .flow import Strategy, dag_levels, sweep_forward
 
 
 class FixedRoutingInstance:
@@ -53,11 +53,16 @@ class FixedRoutingInstance:
                 f"next-hop cycle for item {int(np.argmin(acyclic))}"
             )
         # link of each next hop, its flat (item, link) index and the flat
-        # (item, node) indices of its ends
-        hop_k, self._hop_link = np.nonzero(hop)
-        self._hop_pair = hop_k * top.num_links + self._hop_link
-        self._hop_src = hop_k * V + top.src[self._hop_link]
-        self._hop_dst = hop_k * V + top.dst[self._hop_link]
+        # (item, node) indices of its ends, the hops in level order so that
+        # each level is a slice of them
+        self._hop_link, self._hop_pair, self._hop_src, self._hop_dst = (
+            np.concatenate([lv[c] for lv in self._levels]
+                           + [np.zeros(0, dtype=np.int64)])
+            for c in range(4)
+        )
+        sizes = [len(lv[0]) for lv in self._levels]
+        self._level_slices = [slice(end - n, end)
+                              for n, end in zip(sizes, np.cumsum(sizes).tolist())]
         # buffers reused by every call: phi (C, E), rewritten on the next
         # hops only and zero elsewhere, and the two gathers of F's product,
         # link-major (E, C) so that F sums each link's items along
@@ -109,15 +114,20 @@ class FixedRoutingInstance:
 
         ``prices`` p is indexed by request link and prices its response
         link; g is the reverse sweep g_i = (1 - y_i) (p_ij + g_j), so the
-        factor (1 - y) of every node past i discounts the path cost.
+        factor (1 - y) of every node past i discounts the path cost.  Every
+        (item, node) has at most one next hop, so each level writes g at
+        distinct nodes: a scatter where ``flow.sweep_reverse`` adds, with
+        the same bits (each node's sum is its one term added to 0).
         """
         y = np.asarray(y, dtype=float)
-        g = sweep_reverse(self._levels, self._phi(y), prices,
-                          self.topology.num_nodes)
+        src, dst = self._hop_src, self._hop_dst
+        phi = 1.0 - y.ravel()[src]
+        p = prices[self._hop_link]
+        g = np.zeros(t.size)
+        for lv in reversed(self._level_slices):
+            g[src[lv]] = phi[lv] * (p[lv] + g[dst[lv]])
         out = np.zeros(t.shape)
-        out.ravel()[self._hop_src] = t.ravel()[self._hop_src] * (
-            prices[self._hop_link] + g.ravel()[self._hop_dst]
-        )
+        out.ravel()[src] = t.ravel()[src] * (p + g[dst])
         return out
 
     def baseline_cost(self):
@@ -147,31 +157,44 @@ class GainDecomposition:
     baseline: float
 
 
-def eval_gain(instance, y):
-    """Caching gain of y: A = T(0) - sum D(F(y)), B = sum B_i(Y_i)."""
+def eval_gain(instance, y, flows=None):
+    """Caching gain of y: A = T(0) - sum D(F(y)), B = sum B_i(Y_i).
+
+    ``flows`` is ``instance.flows(y)`` when the caller has it already;
+    without it the flows of y are computed here.
+    """
     t0 = instance.baseline_cost()
-    _, F, Y = instance.flows(y)
+    _, F, Y = instance.flows(y) if flows is None else flows
     link = float(instance.cost.link_cost(F).sum())
     cache = float(instance.cost.cache_cost(Y).sum())
     A = t0 - link
     return GainDecomposition(A=A, B=cache, G=A - cache, baseline=t0)
 
 
-def grad_gain(instance, y):
+def grad_gain(instance, y, flows=None):
     """Gradients (dA/dy, dB/dy), each shaped (num_items, num_nodes).
 
     dA/dy_z(k) = t_z(k) * sum over links (i,j) on z's path of
     D'_ji(F_ji) * prod_{l'=2..l(i)} (1 - y(p^l')): the instance's saved cost
     at the prices D'(F), i.e. t_z(k) * (D'_jz + g_j) on the next hop j with g
-    from one reverse sweep over the next-hop forest.
+    from one reverse sweep over the next-hop forest.  ``flows`` is
+    ``instance.flows(y)`` when the caller has it already, as for
+    ``eval_gain``.
     """
     top = instance.topology
     y = np.asarray(y, dtype=float)
-    t, F, Y = instance.flows(y)
+    t, F, Y = instance.flows(y) if flows is None else flows
     gradA = instance.saved_cost(y, t, instance.cost.link_deriv(F)[top.rev])
     Bp = instance.cost.cache_deriv(Y)
     gradB = np.broadcast_to(Bp, gradA.shape).copy()
     return gradA, gradB
+
+
+def require_iteration_count(N):
+    """Raise ConfigurationError unless ``N`` is an integer of at least 2
+    (bool and float rejected): GCFW's step eps = N^(-1/3) needs N > 1."""
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 2:
+        raise ConfigurationError(f"gcfw needs an integer N >= 2, got {N!r}")
 
 
 @dataclass
@@ -188,10 +211,11 @@ def gcfw(instance, N):
     eps = N^(-1/3); each step maximizes <y, grad A - 2 grad B> over the box
     by coordinate thresholding (strict inequality: exact-zero scores select
     nothing) and blends y <- (1 - eps^2) y + eps^2 s.  Returns the iterate
-    with the best gain among y^(0..N).
+    with the best gain among y^(0..N).  Each iterate's flows are computed
+    once and serve both its gain and the gradient taken from it: N + 1
+    forward sweeps, with N ``grad_gain`` and N + 1 ``eval_gain`` calls.
     """
-    if N <= 1:
-        raise ValueError("gcfw needs an integer N > 1")
+    require_iteration_count(N)
     top, dem = instance.topology, instance.demand
     zero_b = instance.cost.cache.deriv_is_zero()
     if zero_b.any():
@@ -203,15 +227,17 @@ def gcfw(instance, N):
     eps2 = float(N) ** (-2.0 / 3.0)
     C, V = dem.num_items, top.num_nodes
     y = np.zeros((C, V))
-    best_y, best = y.copy(), eval_gain(instance, y)
+    flows = instance.flows(y)
+    best_y, best = y.copy(), eval_gain(instance, y, flows)
     history = [best.G]
     best_iter = 0
     for n in range(N):
-        gA, gB = grad_gain(instance, y)
+        gA, gB = grad_gain(instance, y, flows)
         s = ((gA - 2.0 * gB) > 0).astype(float)
         s[instance._servers] = 0.0
         y = (1.0 - eps2) * y + eps2 * s
-        g = eval_gain(instance, y)
+        flows = instance.flows(y)
+        g = eval_gain(instance, y, flows)
         history.append(g.G)
         if g.G > best.G:
             best, best_y, best_iter = g, y.copy(), n + 1

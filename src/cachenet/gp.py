@@ -34,6 +34,12 @@ def require_finite_positive(value, name):
         raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
+def require_blocked_mode(mode):
+    """Raise ConfigurationError unless ``mode`` names a blocked-set rule."""
+    if mode not in ("static", "dynamic"):
+        raise ConfigurationError(f"unknown blocked mode {mode!r}")
+
+
 @dataclass
 class GPConfig:
     alpha: float = 0.01
@@ -50,8 +56,7 @@ class GPConfig:
         require_finite_positive(self.tol, "convergence tolerance")
         if self.schedule not in ("synchronous", "round-robin", "random"):
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
-        if self.blocked_mode not in ("static", "dynamic"):
-            raise ConfigurationError(f"unknown blocked mode {self.blocked_mode!r}")
+        require_blocked_mode(self.blocked_mode)
 
 
 def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):

@@ -9,10 +9,11 @@ from __future__ import annotations
 import numpy as np
 
 from .blocking import dynamic_blocked_sets, static_blocked_sets
-from .fixedroute import FixedRoutingInstance, gcfw
+from .fixedroute import FixedRoutingInstance, gcfw, require_iteration_count
 from .flow import FlowState, solve_traffic
 from .gp import (
     gp_step,
+    require_blocked_mode,
     require_finite_positive,
     shortest_path_strategy,
     sp_next_hops,
@@ -125,6 +126,7 @@ class GPOnlinePolicy(RelaxedStrategyPolicy):
 
     def __init__(self, alpha=0.01, blocked_mode="static", initial=None):
         require_finite_positive(alpha, "stepsize alpha")
+        require_blocked_mode(blocked_mode)
         self.alpha = alpha
         self.blocked_mode = blocked_mode
         self._initial = initial
@@ -182,6 +184,7 @@ class GcfwSpPolicy(RelaxedStrategyPolicy):
     name = "gcfw-sp"
 
     def __init__(self, N=100):
+        require_iteration_count(N)
         self.N = N
 
     def initial_strategy(self, scenario):

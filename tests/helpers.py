@@ -6,7 +6,8 @@ import numpy as np
 
 from cachenet.blocking import BlockedSets
 from cachenet.errors import CacheNetError, DisconnectedDemandError, LoopError
-from cachenet.flow import T_ZERO, Strategy, solve_traffic
+from cachenet.fixedroute import GcfwResult, eval_gain
+from cachenet.flow import T_ZERO, Strategy, solve_traffic, sweep_reverse
 from cachenet.marginals import PHI_ACTIVE, compute_marginals
 from cachenet.network import (
     CostModel,
@@ -610,6 +611,47 @@ def reference_costgreedy_pick(miss, cached, servers):
             if miss[k, i] > best_val:
                 best, best_val = (k, i), miss[k, i]
     return best
+
+
+def reference_saved_cost(instance, y, t, prices):
+    """``FixedRoutingInstance.saved_cost`` with the reverse sweep of
+    ``flow.sweep_reverse``, which adds each level's terms with ``np.add.at``
+    where the instance scatters them."""
+    y = np.asarray(y, dtype=float)
+    g = sweep_reverse(instance._levels, instance._phi(y), prices,
+                      instance.topology.num_nodes)
+    out = np.zeros(t.shape)
+    src = instance._hop_src
+    out.ravel()[src] = t.ravel()[src] * (
+        prices[instance._hop_link] + g.ravel()[instance._hop_dst]
+    )
+    return out
+
+
+def reference_gcfw(instance, N):
+    """The loop form of ``fixedroute.gcfw``: every gain and every gradient
+    computes the flows of its iterate anew (two forward sweeps per
+    iteration), and the gradient's reverse sweep is ``reference_saved_cost``.
+    """
+    C, V = instance.demand.num_items, instance.topology.num_nodes
+    cost, rev = instance.cost, instance.topology.rev
+    eps2 = float(N) ** (-2.0 / 3.0)
+    y = np.zeros((C, V))
+    best_y, best = y.copy(), eval_gain(instance, y)
+    history = [best.G]
+    best_iter = 0
+    for n in range(N):
+        t, F, Y = instance.flows(y)
+        gA = reference_saved_cost(instance, y, t, cost.link_deriv(F)[rev])
+        gB = np.broadcast_to(cost.cache_deriv(Y), gA.shape)
+        s = ((gA - 2.0 * gB) > 0).astype(float)
+        s[instance.demand.server_mask] = 0.0
+        y = (1.0 - eps2) * y + eps2 * s
+        g = eval_gain(instance, y)
+        history.append(g.G)
+        if g.G > best.G:
+            best, best_y, best_iter = g, y.copy(), n + 1
+    return GcfwResult(y=best_y, gain=best, history=history, best_iter=best_iter)
 
 
 GEN, REQ, RESP = 0, 1, 2

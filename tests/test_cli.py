@@ -163,6 +163,20 @@ class TestErrors:
         assert "error:" in err and "Traceback" not in err
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("bad", [
+        ["--N", "1"], ["--N", "0"], ["--N", "1", "--simulate"],
+    ])
+    def test_bad_gcfw_iteration_count_is_reported(self, tmp_path, capsys, bad):
+        rc = main([
+            "--topology", "grid", "--size", "3x3", "--catalog", "4",
+            "--requests", "8", "--algorithm", "gcfw", "--periods", "3", *bad,
+            "--out", str(tmp_path / "n"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert "integer N >= 2" in err
+
     def test_bad_spec_is_reported(self, tmp_path, capsys):
         rc = main([
             "--topology", "grid", "--size", "2x2", "--catalog", "1",

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cachenet.errors import IllRoutedError
+from cachenet import fixedroute
+from cachenet.errors import ConfigurationError, IllRoutedError
 from cachenet.fixedroute import FixedRoutingInstance, eval_gain, gcfw, grad_gain
 from cachenet.flow import solve_traffic
 from cachenet.network import (
@@ -246,6 +247,66 @@ class TestGcfw:
         inst = diamond_a()
         with pytest.warns(UserWarning):
             gcfw(inst, 4)
+
+    @pytest.mark.parametrize("N", [1, 0, -1, True, False, 2.0, 8.5, None, "8"])
+    def test_bad_iteration_count_rejected(self, N):
+        with pytest.raises(ConfigurationError, match="integer N >= 2"):
+            gcfw(diamond_a(), N)
+
+    def test_numpy_integer_iteration_count(self):
+        inst = diamond_a()
+        with pytest.warns(UserWarning):
+            got = gcfw(inst, np.int64(8))
+        with pytest.warns(UserWarning):
+            assert got.history == gcfw(inst, 8).history
+
+
+class TestSharedFlows:
+    @staticmethod
+    def _instance():
+        rng = np.random.default_rng(9)
+        from helpers import random_loopfree_instance
+
+        top, dem, cost, _ = random_loopfree_instance(rng, max_nodes=6,
+                                                     max_items=3)
+        nh = {}
+        for k in range(dem.num_items):
+            for i in range(top.num_nodes - 1):
+                nh[(i, k)] = min(j for j in top.neighbors[i] if j > i)
+        return FixedRoutingInstance(top, dem, cost, nh)
+
+    def test_flows_argument_gives_the_same_result(self):
+        inst = self._instance()
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            y = rng.uniform(0.0, 1.0, inst.demand.server_mask.shape)
+            y[inst.demand.server_mask] = 0.0
+            flows = inst.flows(y)
+            assert eval_gain(inst, y, flows) == eval_gain(inst, y)
+            for got, ref in zip(grad_gain(inst, y, flows), grad_gain(inst, y)):
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("N", [2, 7, 30])
+    def test_call_counts_per_gcfw_call(self, N, monkeypatch):
+        # one forward sweep per iterate; N gradients and N + 1 gains, which
+        # the benchmark's per-iteration clock and trace identities count
+        inst = self._instance()
+        inst.baseline_cost()
+        counts = {"flows": 0, "grad_gain": 0, "eval_gain": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(FixedRoutingInstance, "flows",
+                            counting("flows", FixedRoutingInstance.flows))
+        for name in ("grad_gain", "eval_gain"):
+            monkeypatch.setattr(fixedroute, name,
+                                counting(name, getattr(fixedroute, name)))
+        gcfw(inst, N)
+        assert counts == {"flows": N + 1, "grad_gain": N, "eval_gain": N + 1}
 
 
 class TestDrSubmodularity:

@@ -13,6 +13,7 @@ from cachenet.blocking import (
     static_blocked_sets,
 )
 from cachenet.errors import DisconnectedDemandError, LoopError
+from cachenet.fixedroute import FixedRoutingInstance, gcfw
 from cachenet.flow import T_ZERO, Strategy, dag_levels, solve_dense, solve_traffic
 from cachenet.gp import (
     GPConfig,
@@ -31,6 +32,7 @@ from cachenet.network import (
     linear_cache_costs,
     linear_link_costs,
 )
+from cachenet.policies import flow_costgreedy
 from cachenet.scenarios import TABLE_PRESETS, generate_scenario
 
 from helpers import (
@@ -40,7 +42,9 @@ from helpers import (
     reference_count_async_messages,
     reference_dag_levels,
     reference_dynamic_blocked_sets,
+    reference_gcfw,
     reference_gp_step,
+    reference_saved_cost,
     reference_server_distances,
     reference_shortest_path_strategy,
     reference_sp_next_hops,
@@ -649,3 +653,50 @@ class TestShortestPathsMatchLoop:
             raised += not self._agree(top, dem, cost,
                                       reference_tight_shortest_path_strategy)
         assert raised > 20
+
+
+class TestGcfwMatchesReference:
+    """``gcfw`` shares each iterate's flows between its gain and gradient,
+    and ``saved_cost`` scatters its reverse sweep; both must give the bits
+    of ``helpers.reference_gcfw`` (flows computed twice per iteration,
+    reverse sweep by ``np.add.at``)."""
+
+    @staticmethod
+    def _instance(preset, seed):
+        scen = generate_scenario(TABLE_PRESETS[preset], seed)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        return scen, FixedRoutingInstance(top, dem, cost,
+                                          sp_next_hops(top, dem, cost))
+
+    @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
+    def test_presets(self, preset):
+        for seed in (1, 2):
+            _, inst = self._instance(preset, seed)
+            got, ref = gcfw(inst, 100), reference_gcfw(inst, 100)
+            assert np.array_equal(got.y, ref.y)
+            assert dataclasses.asdict(got.gain) == dataclasses.asdict(ref.gain)
+            assert got.history == ref.history
+            assert got.best_iter == ref.best_iter
+
+    @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
+    def test_saved_cost_on_random_y(self, preset):
+        rng = np.random.default_rng(77)
+        _, inst = self._instance(preset, 1)
+        top = inst.topology
+        zero_prices = inst.cost.link_deriv(np.zeros(top.num_links))[top.rev]
+        for _ in range(3):
+            y = rng.uniform(0.0, 1.0, inst.demand.server_mask.shape)
+            y[rng.random(y.shape) < 0.2] = 0.0
+            y[rng.random(y.shape) < 0.2] = 1.0
+            t, F, _ = inst.flows(y)
+            for prices in (inst.cost.link_deriv(F)[top.rev], zero_prices):
+                got = inst.saved_cost(y, t, prices)
+                assert np.array_equal(got, reference_saved_cost(inst, y, t, prices))
+
+    @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
+    def test_costgreedy_costs(self, preset, monkeypatch):
+        scen, _ = self._instance(preset, 1)
+        best, sets, costs = flow_costgreedy(scen, max_steps=30)
+        monkeypatch.setattr(FixedRoutingInstance, "saved_cost",
+                            reference_saved_cost)
+        assert flow_costgreedy(scen, max_steps=30) == (best, sets, costs)

@@ -6,10 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
+from cachenet.errors import ConfigurationError
 from cachenet.flow import Strategy, solve_traffic
 from cachenet.gp import GPConfig, run_gp, shortest_path_strategy
 from cachenet.network import Demand
 from cachenet.policies import (
+    GcfwSpPolicy,
     GPOnlinePolicy,
     _costgreedy_pick,
     EvictionCache,
@@ -401,6 +403,22 @@ class TestGpInSim:
         e02 = top.edge_index[(0, 2)]
         assert pol.strategy.phi[0, e01] > 0.2
         assert pol.strategy.phi[0, e02] > 0.2
+
+    @pytest.mark.parametrize("mode", ["statc", "Static", "", None])
+    def test_unknown_blocked_mode_rejected(self, mode):
+        # a mode that is neither static nor dynamic would start from
+        # dynamic sets and never recompute them
+        with pytest.raises(ConfigurationError, match="unknown blocked mode"):
+            GPOnlinePolicy(blocked_mode=mode)
+        for good in ("static", "dynamic"):
+            assert GPOnlinePolicy(blocked_mode=good).blocked_mode == good
+
+    @pytest.mark.parametrize("N", [1, 0, -3, True, 2.0, 100.0, "100"])
+    def test_bad_gcfw_iteration_count_rejected(self, N):
+        with pytest.raises(ConfigurationError, match="integer N >= 2"):
+            GcfwSpPolicy(N=N)
+        with pytest.raises(ConfigurationError, match="integer N >= 2"):
+            make_policy("gcfw", N=N)
 
     def test_mc_model_brackets_simulated_cost(self):
         scen = line_scenario(rate=5.0, b=0.05)
