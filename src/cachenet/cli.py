@@ -31,8 +31,24 @@ def fnum(x):
     return FMT % x
 
 
+# argument types: argparse turns their ValueError into an error line, exit 2
 def parse_list(text):
-    return [float(x) for x in text.split(",") if x.strip()]
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite number in {text!r}")
+    return values
+
+
+def parse_range(text):
+    lo_hi = tuple(parse_list(text))
+    if len(lo_hi) != 2 or lo_hi[0] > lo_hi[1]:
+        raise ValueError(f"not LOW,HIGH with LOW <= HIGH: {text!r}")
+    return lo_hi
+
+
+def finite_float(text):
+    (value,) = parse_list(text)
+    return value
 
 
 def parse_size(text):
@@ -51,7 +67,7 @@ def build_parser():
     g = p.add_argument_group("scenario")
     g.add_argument("--topology", default="grid",
                    choices=["grid", "full-tree", "fog", "er", "small-world", "file"])
-    g.add_argument("--size", default="5x5",
+    g.add_argument("--size", default="5x5", type=parse_size,
                    help="grid WxH, tree ARITY,DEPTH, or node count")
     g.add_argument("--topology-file", default="",
                    help="path for --topology file")
@@ -59,12 +75,12 @@ def build_parser():
                    help="load a full scenario document instead of generating")
     g.add_argument("--catalog", type=int, default=30)
     g.add_argument("--requests", type=int, default=100)
-    g.add_argument("--zipf", type=float, default=1.0)
-    g.add_argument("--rate-range", default="1,5")
-    g.add_argument("--link-cost-range", default="0.1,0.1")
-    g.add_argument("--cache-price", type=float, default=None,
+    g.add_argument("--zipf", type=finite_float, default=1.0)
+    g.add_argument("--rate-range", default="1,5", type=parse_range)
+    g.add_argument("--link-cost-range", default="0.1,0.1", type=parse_range)
+    g.add_argument("--cache-price", type=finite_float, default=None,
                    help="uniform unit cache price (overrides the range)")
-    g.add_argument("--cache-price-range", default="10,10")
+    g.add_argument("--cache-price-range", default="10,10", type=parse_range)
     g.add_argument("--link-cost", default="poly3", choices=["poly3", "linear"])
     g.add_argument("--er-p", type=float, default=0.07)
 
@@ -91,9 +107,9 @@ def build_parser():
 
     r = p.add_argument_group("run")
     r.add_argument("--seed", type=int, default=1)
-    r.add_argument("--sweep-load", default="",
+    r.add_argument("--sweep-load", default="", type=parse_list,
                    help="comma list of request-rate scale factors")
-    r.add_argument("--sweep-cache-price", default="",
+    r.add_argument("--sweep-cache-price", default="", type=parse_list,
                    help="comma list of uniform unit cache prices")
     r.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for sweep points")
@@ -109,7 +125,7 @@ def make_scenario(args):
             raise ConfigurationError("--topology file needs --topology-file")
         spec = ScenarioSpec(
             "file", (), args.catalog, args.requests, args.zipf,
-            tuple(parse_list(args.rate_range)), (0, 0), (0, 0),
+            args.rate_range, (0, 0), (0, 0),
             link_cost_kind=args.link_cost, path=args.topology_file,
         )
         scen = generate_scenario(spec, args.seed)
@@ -119,16 +135,16 @@ def make_scenario(args):
     price = (
         (args.cache_price, args.cache_price)
         if args.cache_price is not None
-        else tuple(parse_list(args.cache_price_range))
+        else args.cache_price_range
     )
     spec = ScenarioSpec(
         topology=args.topology,
-        size=parse_size(args.size),
+        size=args.size,
         catalog=args.catalog,
         requests=args.requests,
         zipf=args.zipf,
-        rate_range=tuple(parse_list(args.rate_range)),
-        link_cost_range=tuple(parse_list(args.link_cost_range)),
+        rate_range=args.rate_range,
+        link_cost_range=args.link_cost_range,
         cache_price_range=price,
         link_cost_kind=args.link_cost,
         er_p=args.er_p,
@@ -309,10 +325,10 @@ def main(argv=None):
         if args.sweep_load and args.sweep_cache_price:
             raise ConfigurationError("choose one sweep mode at a time")
         if args.sweep_load:
-            for f in parse_list(args.sweep_load):
+            for f in args.sweep_load:
                 sweeps.append((f, scale_rates(scenario, f)))
         elif args.sweep_cache_price:
-            for price in parse_list(args.sweep_cache_price):
+            for price in args.sweep_cache_price:
                 sweeps.append((price, reprice_caches(scenario, price)))
 
         header = SIM_HEADER if args.simulate else FLOW_HEADER

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class CacheNetError(Exception):
     """Base class for all cachenet errors."""
@@ -33,3 +35,11 @@ class LoopError(CacheNetError):
 
 class DisconnectedDemandError(CacheNetError):
     """Some node cannot reach a designated server for some item."""
+
+
+def require_finite_positive(value, name):
+    """Raise ConfigurationError unless ``value`` is a finite number above 0
+    (NaN passes ``value <= 0``; an infinite step, tolerance or interval
+    never ends)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {value}")

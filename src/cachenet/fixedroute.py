@@ -15,18 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, IllRoutedError
-from .flow import Strategy, dag_levels, sweep_forward
+from .flow import Strategy, dag_levels, sweep_forward, sweep_reverse
 
 
 class FixedRoutingInstance:
-    """Validated next-hop table and the levels of its next-hop forest.
+    """Validated next-hop table and the level layout of its next-hop forest.
 
     next_hop maps (node, item) -> neighbor over a link.  No designated server
     may have a next hop, the next hops may form no cycle (whether or not a
     request enters it), and every non-server node that requests reach needs
     a next hop, so every request path ends at a designated server.  Flows and
-    gradients are sweeps over the forest's levels, built once here, with
-    phi = 1 - y on the next hops.
+    gradients are the ``flow`` sweeps over the forest's layout, built once
+    here, with phi = 1 - y on the next hops.
     """
 
     def __init__(self, topology, demand, cost, next_hop):
@@ -52,17 +52,6 @@ class FixedRoutingInstance:
             raise IllRoutedError(
                 f"next-hop cycle for item {int(np.argmin(acyclic))}"
             )
-        # link of each next hop, its flat (item, link) index and the flat
-        # (item, node) indices of its ends, the hops in level order so that
-        # each level is a slice of them
-        self._hop_link, self._hop_pair, self._hop_src, self._hop_dst = (
-            np.concatenate([lv[c] for lv in self._levels]
-                           + [np.zeros(0, dtype=np.int64)])
-            for c in range(4)
-        )
-        sizes = [len(lv[0]) for lv in self._levels]
-        self._level_slices = [slice(end - n, end)
-                              for n, end in zip(sizes, np.cumsum(sizes).tolist())]
         # buffers reused by every call: phi (C, E), rewritten on the next
         # hops only and zero elsewhere, and the two gathers of F's product,
         # link-major (E, C) so that F sums each link's items along
@@ -71,21 +60,13 @@ class FixedRoutingInstance:
         self._t_dst = np.empty((top.num_links, C))
         self._phi_rev = np.empty((top.num_links, C))
         self._servers = dem.server_mask
-        reached = sweep_forward(self._levels, hop.astype(float), dem.rates) > 0
+        reached = sweep_forward(self._levels, np.ones(self._levels.pair.size),
+                                dem.rates) > 0
         stranded = reached & ~forwards & ~self._servers
         if stranded.any():
             k, i = np.argwhere(stranded)[0]
             raise IllRoutedError(f"no next hop at node {i} for item {k}")
         self._baseline = None
-
-    def _phi(self, y):
-        """Routing fractions pinned by y: phi = 1 - y on each next hop.
-
-        Written into the instance's buffer and returned without a copy, so
-        it is valid until the next call.
-        """
-        self._phi_buf.ravel()[self._hop_pair] = 1.0 - y.ravel()[self._hop_src]
-        return self._phi_buf
 
     # -- flow computation -------------------------------------------------
 
@@ -96,10 +77,12 @@ class FixedRoutingInstance:
         product form: the rate surviving past node p^l on a path is
         r_v * prod_{l' <= l} (1 - y(p^l')).
         """
-        top = self.topology
+        top, levels = self.topology, self._levels
         y = np.asarray(y, dtype=float)
-        phi = self._phi(y)
-        t = sweep_forward(self._levels, phi, self.demand.rates)
+        w = 1.0 - y.ravel()[levels.src]
+        phi = self._phi_buf
+        phi.ravel()[levels.pair] = w
+        t = sweep_forward(levels, w, self.demand.rates)
         # responses to requests over (i, j) return on link (j, i)
         prod = np.take(t.T, top.dst, axis=0, out=self._t_dst, mode="clip")
         prod *= np.take(phi.T, top.rev, axis=0, out=self._phi_rev, mode="clip")
@@ -113,21 +96,17 @@ class FixedRoutingInstance:
         saves.
 
         ``prices`` p is indexed by request link and prices its response
-        link; g is the reverse sweep g_i = (1 - y_i) (p_ij + g_j), so the
-        factor (1 - y) of every node past i discounts the path cost.  Every
-        (item, node) has at most one next hop, so each level writes g at
-        distinct nodes: a scatter where ``flow.sweep_reverse`` adds, with
-        the same bits (each node's sum is its one term added to 0).
+        link; g is ``flow.sweep_reverse`` over the next-hop forest,
+        g_i = (1 - y_i) (p_ij + g_j), so the factor (1 - y) of every node
+        past i discounts the path cost.
         """
+        levels = self._levels
+        src = levels.src
         y = np.asarray(y, dtype=float)
-        src, dst = self._hop_src, self._hop_dst
-        phi = 1.0 - y.ravel()[src]
-        p = prices[self._hop_link]
-        g = np.zeros(t.size)
-        for lv in reversed(self._level_slices):
-            g[src[lv]] = phi[lv] * (p[lv] + g[dst[lv]])
+        p = prices[levels.link]
+        g = sweep_reverse(levels, 1.0 - y.ravel()[src], p).ravel()
         out = np.zeros(t.shape)
-        out.ravel()[src] = t.ravel()[src] * (p + g[dst])
+        out.ravel()[src] = t.ravel()[src] * (p + g[levels.dst])
         return out
 
     def baseline_cost(self):
@@ -141,10 +120,12 @@ class FixedRoutingInstance:
     def induced_strategy(self, y):
         """The (phi, y) strategy this instance pins: phi = 1 - y on the next
         hop, zero elsewhere."""
+        levels = self._levels
         y = np.array(y, dtype=float)
         y[self._servers] = 0.0
-        return Strategy(self.topology, self.demand.num_items,
-                        self._phi(y).copy(), y)
+        phi = np.zeros_like(self._phi_buf)
+        phi.ravel()[levels.pair] = 1.0 - y.ravel()[levels.src]
+        return Strategy(self.topology, self.demand.num_items, phi, y)
 
 
 @dataclass

@@ -8,6 +8,7 @@ item at every non-server node, and both identically 0 at designated servers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,12 +100,12 @@ class FlowState:
     F[e]     : total flow on link e
     Y[i]     : cache occupancy sum_k y[k, i]
 
-    ``solve_traffic`` also keeps the DAG levels its forward sweep ran on:
-    ``levels`` and ``acyclic`` as returned by ``dag_levels`` for the
-    (item, link) mask ``routed`` (phi != 0).  ``compute_marginals`` sweeps
-    them in reverse as they are, the pairs at phi <= PHI_ACTIVE weighted 0;
-    a FlowState built by hand (e.g. from measured flows) leaves them None
-    and the marginals level the DAG anew.
+    ``solve_traffic`` also keeps the DAG layout its forward sweep ran on:
+    ``levels`` (a ``Levels``) and ``acyclic`` as returned by ``dag_levels``
+    for the (item, link) mask ``routed`` (phi != 0).  ``compute_marginals``
+    sweeps that layout in reverse as it is, the pairs at phi <= PHI_ACTIVE
+    weighted 0; a FlowState built by hand (e.g. from measured flows) leaves
+    them None and the marginals level the DAG anew.
     """
 
     t: np.ndarray
@@ -114,9 +115,16 @@ class FlowState:
     link_cost: float
     cache_cost: float
     total_cost: float
-    levels: list = None
+    levels: "Levels" = None
     acyclic: np.ndarray = None
     routed: np.ndarray = None
+
+
+# The layout of a routing DAG that every sweep walks: per (item, link) pair
+# in level order, its link, flat (item, link) index and the flat indices of
+# its ends into a ``shape`` (items, nodes) array; one slice per level; and
+# whether each (item, node) is the source of at most one pair.
+Levels = namedtuple("Levels", "link pair src dst slices one_out shape")
 
 
 def dag_levels(topology, active):
@@ -126,14 +134,11 @@ def dag_levels(topology, active):
     on all items at once: level L holds the active links leaving the nodes
     whose active in-links all lie in levels < L, so a node's out-links share
     one level and keep ascending link order inside it.  Items whose active
-    subgraph has a cycle get ``acyclic[k] = False`` and contribute no pairs.
-    Each round touches only the pairs not yet placed, and takes the ready
-    ones off their heads' in-degrees, so the build costs the number of
-    pairs times the levels they wait, not the nodes of every item.
-
-    Returns (levels, acyclic).  Each level is a tuple of index arrays
-    (link, pair, src, dst): the link, the flat (item, link) index, and the
-    flat (item, node) indices of the link's endpoints.
+    subgraph has a cycle get ``acyclic[k] = False`` and contribute no pairs
+    (a level may be left empty).  Each round touches only the pairs not yet
+    placed, and takes the ready ones off their heads' in-degrees, so the
+    build costs the number of pairs times the levels they wait, not the
+    nodes of every item.  Returns (``Levels``, acyclic).
     """
     C, E = active.shape
     V = topology.num_nodes
@@ -153,12 +158,16 @@ def dag_levels(topology, active):
         rest = rest[~ready]
         ready = indeg[src[rest]] == 0
     acyclic = np.ones(C, dtype=bool)
-    acyclic[k[rest]] = False  # links left over lie on or behind a cycle
-    levels = []
-    for placed in groups:
-        placed = placed[acyclic[k[placed]]]
-        levels.append((e[placed], pair[placed], src[placed], dst[placed]))
-    return levels, acyclic
+    if rest.size:
+        acyclic[k[rest]] = False  # links left over lie on or behind a cycle
+        groups = [placed[acyclic[k[placed]]] for placed in groups]
+    ends = np.cumsum([placed.size for placed in groups]).tolist()
+    slices = [slice(end - placed.size, end) for placed, end in zip(groups, ends)]
+    order = np.concatenate([*groups, rest[:0]])
+    src = src[order]
+    one_out = bool(np.bincount(src).max(initial=0) <= 1)
+    return Levels(e[order], pair[order], src, dst[order], slices, one_out,
+                  (C, V)), acyclic
 
 
 def fold_out_links(src, link_vals, ufunc, start):
@@ -172,30 +181,36 @@ def fold_out_links(src, link_vals, ufunc, start):
     return flat.reshape(C, V)
 
 
-def sweep_forward(levels, phi, r):
-    """Requests flow downstream: t = r + Phi^T t, one level at a time.
+def sweep_forward(levels, w, r):
+    """Requests flow downstream: t = r + Phi^T t, one level at a time, where
+    ``w`` weights each pair of ``levels`` in layout order.
 
     Rows of items without pairs in ``levels`` come back equal to r.
     """
     t = np.array(r, dtype=float).ravel()
-    w = phi.ravel()
-    for _, pair, src, dst in levels:
-        np.add.at(t, dst, w[pair] * t[src])
+    for lv in levels.slices:
+        np.add.at(t, levels.dst[lv], w[lv] * t[levels.src[lv]])
     return t.reshape(np.shape(r))
 
 
-def sweep_reverse(levels, phi, c, num_nodes):
-    """Marginals flow upstream: g_i = sum_j phi_ij (c_ij + g_j), one level at
-    a time in reverse order, where ``c`` prices each link.
+def sweep_reverse(levels, w, c):
+    """Marginals flow upstream: g_i = sum_j w_ij (c_ij + g_j), one level at
+    a time in reverse order, where ``w`` weights and ``c`` prices each pair
+    of ``levels`` in layout order.
 
     Every node sums its terms in ascending link order starting from 0, and
-    rows of items without pairs in ``levels`` come back 0.
+    rows of items without pairs in ``levels`` come back 0.  With one pair
+    per node (``levels.one_out``) a level's terms are written, not added to
+    0: the same bits for all terms but -0.0, which w, c >= 0 never give.
     """
-    g = np.zeros(phi.shape[0] * num_nodes)
-    w = phi.ravel()
-    for link, pair, src, dst in reversed(levels):
-        np.add.at(g, src, w[pair] * (c[link] + g[dst]))
-    return g.reshape(phi.shape[0], num_nodes)
+    g = np.zeros(levels.shape[0] * levels.shape[1])
+    for lv in reversed(levels.slices):
+        term = w[lv] * (c[lv] + g[levels.dst[lv]])
+        if levels.one_out:
+            g[levels.src[lv]] = term
+        else:
+            np.add.at(g, levels.src[lv], term)
+    return g.reshape(levels.shape)
 
 
 def solve_dense(topology, phi, rhs, transpose=False):
@@ -245,7 +260,7 @@ def solve_traffic(topology, demand, strategy, cost):
     r = demand.rates
     routed = phi != 0
     levels, acyclic = dag_levels(topology, routed)
-    t = sweep_forward(levels, phi, r)
+    t = sweep_forward(levels, phi.ravel()[levels.pair], r)
     cyclic = ~acyclic
     if cyclic.any():
         t[cyclic] = solve_dense(topology, phi[cyclic], r[cyclic])

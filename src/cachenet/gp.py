@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import dynamic_blocked_sets, sp_next_links, static_blocked_sets
-from .errors import CacheNetError, ConfigurationError
+from .errors import CacheNetError, ConfigurationError, require_finite_positive
 from .flow import T_ZERO, Strategy, fold_out_links, solve_traffic
 from .marginals import PHI_ACTIVE, compute_marginals, vectorized_residuals
 
@@ -25,13 +25,6 @@ from .marginals import PHI_ACTIVE, compute_marginals, vectorized_residuals
 # a period whose cost exceeds this multiple of the first period's cost
 # stops the run as diverged (stepsize too large)
 DIVERGENCE_FACTOR = 1e3
-
-
-def require_finite_positive(value, name):
-    """Raise ConfigurationError unless ``value`` is a finite number above 0
-    (NaN passes ``value <= 0``; an infinite step or tolerance never ends)."""
-    if not (np.isfinite(value) and value > 0):
-        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
 def require_blocked_mode(mode):

@@ -54,18 +54,15 @@ class MarginalState:
 def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     """Compute dT/dr and the delta marginals for every (node, item).
 
-    The recursion runs over the links with phi > PHI_ACTIVE.  Items whose
-    active subgraph is acyclic are evaluated by one reverse sweep over its
-    levels (the broadcast order used by the online algorithm: each node
-    sums phi * (D' + dT/dr) over its out-links in link order); items with a
-    cycle fall back to the transposed dense solve.  The sweep runs over the
-    levels ``solve_traffic`` built and left on ``flow``, as they are, with
-    the pairs at phi <= PHI_ACTIVE weighted 0: each adds +0.0 to its node's
-    sum, so every value is the one a sweep over the active pairs alone
-    gives, and a period levels its routing DAG once.  The active subgraph
-    is leveled anew when ``flow`` has no levels, when one of its items is
-    cyclic, or when an active pair lies outside the mask its levels were
-    built on.  When ``blocked`` is given, delta_min minimizes only over
+    The recursion runs over the links with phi > PHI_ACTIVE: one reverse
+    sweep for the items whose active subgraph is acyclic (the broadcast
+    order of the online algorithm: each node sums phi * (D' + dT/dr) over
+    its out-links in link order), the transposed dense solve for the rest.
+    The sweep walks the layout ``solve_traffic`` left on ``flow`` as it is,
+    the pairs at phi <= PHI_ACTIVE weighted 0, which gives the values of a
+    sweep over the active pairs alone; the active subgraph is leveled anew
+    when ``flow`` has no layout, has a cyclic item, or misses an active
+    pair.  When ``blocked`` is given, delta_min minimizes only over
     unblocked neighbors.
     """
     V, C = topology.num_nodes, demand.num_items
@@ -81,7 +78,9 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
         levels, acyclic = dag_levels(topology, active)
     else:
         levels, acyclic = flow.levels, flow.acyclic
-    dTdr = sweep_reverse(levels, np.where(active, phi, 0.0), resp_deriv, V)
+    w = phi.ravel()[levels.pair]
+    w = np.where(w > PHI_ACTIVE, w, 0.0)
+    dTdr = sweep_reverse(levels, w, resp_deriv[levels.link])
     cyclic = ~acyclic
     if cyclic.any():
         phi_c = phi[cyclic]

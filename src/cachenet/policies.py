@@ -9,15 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .blocking import dynamic_blocked_sets, static_blocked_sets
+from .errors import require_finite_positive
 from .fixedroute import FixedRoutingInstance, gcfw, require_iteration_count
 from .flow import FlowState, solve_traffic
-from .gp import (
-    gp_step,
-    require_blocked_mode,
-    require_finite_positive,
-    shortest_path_strategy,
-    sp_next_hops,
-)
+from .gp import gp_step, require_blocked_mode, shortest_path_strategy, sp_next_hops
 from .marginals import compute_marginals
 from .rounding import build_bar_map, sample_decision, slot_uniform
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite_positive
 
 N_TOKEN = 50
 FOLD_EVERY = 512   # arrivals walked between two folds of the per-hop lists
@@ -54,10 +54,8 @@ class SimSchedule:
             raise ConfigurationError("need at least one slot per period")
         if self.t_monitor is None:
             self.t_monitor = self.t_slot
-        if self.t_monitor <= 0 or self.t_slot <= 0:
-            raise ConfigurationError("slot and monitor intervals must be positive")
-        if self.hop_latency <= 0:
-            raise ConfigurationError("hop latency must be positive")
+        for name in ("t_slot", "t_monitor", "hop_latency"):
+            require_finite_positive(getattr(self, name), name)
 
 
 def apportion_tokens(weights, n_tokens=N_TOKEN):

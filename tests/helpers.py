@@ -7,7 +7,7 @@ import numpy as np
 from cachenet.blocking import BlockedSets
 from cachenet.errors import CacheNetError, DisconnectedDemandError, LoopError
 from cachenet.fixedroute import GcfwResult, eval_gain
-from cachenet.flow import T_ZERO, Strategy, solve_traffic, sweep_reverse
+from cachenet.flow import T_ZERO, Strategy, solve_traffic
 from cachenet.marginals import PHI_ACTIVE, compute_marginals
 from cachenet.network import (
     CostModel,
@@ -614,18 +614,43 @@ def reference_costgreedy_pick(miss, cached, servers):
 
 
 def reference_saved_cost(instance, y, t, prices):
-    """``FixedRoutingInstance.saved_cost`` with the reverse sweep of
-    ``flow.sweep_reverse``, which adds each level's terms with ``np.add.at``
-    where the instance scatters them."""
+    """``FixedRoutingInstance.saved_cost`` with its own reverse sweep, which
+    adds each level's terms with ``np.add.at`` where the instance's sweep
+    scatters them."""
     y = np.asarray(y, dtype=float)
-    g = sweep_reverse(instance._levels, instance._phi(y), prices,
-                      instance.topology.num_nodes)
+    levels = instance._levels
+    src, dst = levels.src, levels.dst
+    w = 1.0 - y.ravel()[src]
+    p = prices[levels.link]
+    g = np.zeros(t.size)
+    for lv in reversed(levels.slices):
+        np.add.at(g, src[lv], w[lv] * (p[lv] + g[dst[lv]]))
     out = np.zeros(t.shape)
-    src = instance._hop_src
-    out.ravel()[src] = t.ravel()[src] * (
-        prices[instance._hop_link] + g.ravel()[instance._hop_dst]
-    )
+    out.ravel()[src] = t.ravel()[src] * (p + g[dst])
     return out
+
+
+def batch_gains(instance, ys):
+    """``fixedroute.eval_gain(instance, y).G`` of every y in ``ys``
+    (B, num_items, num_nodes) in one pass: the instance's flows and costs
+    operation for operation, each array with the batch on a leading axis."""
+    top, levels, cost = instance.topology, instance._levels, instance.cost
+    src, dst = levels.src, levels.dst
+    B, C, V = ys.shape
+    w = 1.0 - ys.reshape(B, C * V)[:, src]
+    t = np.tile(instance.demand.rates.ravel(), (B, 1))
+    for lv in levels.slices:
+        np.add.at(t, (slice(None), dst[lv]), w[:, lv] * t[:, src[lv]])
+    phi = np.zeros((B, C * top.num_links))
+    phi[:, levels.pair] = w
+    t, phi = t.reshape(B, C, V), phi.reshape(B, C, top.num_links)
+    # F sums each link's items along contiguous memory, as ``flows`` does
+    prod = np.ascontiguousarray(
+        (t[:, :, top.dst] * phi[:, :, top.rev]).transpose(0, 2, 1))
+    F = prod.sum(axis=2)
+    Y = np.clip(ys, 0.0, None).sum(axis=1)
+    A = instance.baseline_cost() - cost.link_cost(F).sum(axis=1)
+    return A - cost.cache_cost(Y).sum(axis=1)
 
 
 def reference_gcfw(instance, N):

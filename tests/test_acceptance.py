@@ -23,6 +23,7 @@ from cachenet.cli import reprice_caches, scale_rates
 
 from helpers import (
     appendix_loop_fixture,
+    batch_gains,
     fd_phi_pair,
     line_topology,
     random_loopfree_instance,
@@ -287,14 +288,13 @@ class TestCriterion6:
         worst_slack = np.inf
         for inst, free in self._brute_instances(rng):
             C, V = inst.demand.num_items, inst.topology.num_nodes
-            best_g, best_y = -np.inf, None
-            y = np.zeros((C, V))
-            for values in itertools.product(grid, repeat=len(free)):
-                for (k, i), v in zip(free, values):
-                    y[k, i] = v
-                g = eval_gain(inst, y)
-                if g.G > best_g:
-                    best_g, best_y = g.G, y.copy()
+            # every grid point in itertools.product order; argmax keeps the
+            # first of tied maxima, as a scan for a strict improvement does
+            values = np.array(list(itertools.product(grid, repeat=len(free))))
+            ys = np.zeros((len(values), C, V))
+            for col, (k, i) in enumerate(free):
+                ys[:, k, i] = values[:, col]
+            best_y = ys[np.argmax(batch_gains(inst, ys))]
             star = eval_gain(inst, best_y)
             res = gcfw(inst, 1000)
             t0 = inst.baseline_cost()

@@ -177,6 +177,40 @@ class TestErrors:
         assert "error:" in err and "Traceback" not in err
         assert "integer N >= 2" in err
 
+    @pytest.mark.parametrize("bad", [
+        ["--size", "5xa"], ["--size", "3x3x3"], ["--size", ""],
+        ["--rate-range", "a,b"], ["--rate-range", "5,1"],
+        ["--link-cost-range", "1"], ["--link-cost-range", "0.1,0.2,0.3"],
+        ["--cache-price-range", "5"], ["--cache-price-range", "nan,5"],
+        ["--zipf", "nan"], ["--zipf", "inf"], ["--cache-price", "nan"],
+        ["--sweep-load", "1,x"],
+    ])
+    def test_malformed_numbers_are_reported(self, tmp_path, capsys, bad):
+        # rejected while parsing the command line, as argparse exits
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "--topology", "grid", "--size", "3x3", "--catalog", "4",
+                "--requests", "8", "--algorithm", "gp", "--periods", "3",
+                *bad, "--out", str(tmp_path / "m"),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {bad[0]}" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+    def test_bad_slot_duration_is_reported(self, tmp_path, capsys, bad):
+        rc = main([
+            "--topology", "grid", "--size", "3x3", "--catalog", "4",
+            "--requests", "8", "--algorithm", "sp-lru", "--simulate",
+            "--periods", "2", "--slot-duration", bad,
+            "--out", str(tmp_path / "d"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert "finite and positive" in err
+
     def test_bad_spec_is_reported(self, tmp_path, capsys):
         rc = main([
             "--topology", "grid", "--size", "2x2", "--catalog", "1",

@@ -13,8 +13,15 @@ from cachenet.blocking import (
     static_blocked_sets,
 )
 from cachenet.errors import DisconnectedDemandError, LoopError
-from cachenet.fixedroute import FixedRoutingInstance, gcfw
-from cachenet.flow import T_ZERO, Strategy, dag_levels, solve_dense, solve_traffic
+from cachenet.fixedroute import FixedRoutingInstance, eval_gain, gcfw
+from cachenet.flow import (
+    T_ZERO,
+    Strategy,
+    dag_levels,
+    solve_dense,
+    solve_traffic,
+    sweep_reverse,
+)
 from cachenet.gp import (
     GPConfig,
     count_async_messages,
@@ -37,6 +44,7 @@ from cachenet.scenarios import TABLE_PRESETS, generate_scenario
 
 from helpers import (
     appendix_loop_fixture,
+    batch_gains,
     line_topology,
     random_loopfree_instance,
     reference_count_async_messages,
@@ -217,8 +225,9 @@ class TestSweepMatchesDense:
 
 
 class TestLevelsMatchLoop:
-    """``dag_levels`` gives the compacting loop's levels, array for array
-    (values and dtype), and the same acyclic flags."""
+    """Every slice of the ``dag_levels`` layout gives the compacting loop's
+    level, array for array (values and dtype), with the same acyclic flags
+    and ``one_out`` true iff no (item, node) is the source of two pairs."""
 
     @staticmethod
     def _check(top, active):
@@ -226,10 +235,19 @@ class TestLevelsMatchLoop:
         ref_levels, ref_acyclic = reference_dag_levels(top, active)
         assert np.array_equal(acyclic, ref_acyclic)
         assert acyclic.dtype == ref_acyclic.dtype
-        assert len(levels) == len(ref_levels)
-        for got, ref in zip(levels, ref_levels):
-            for a, b in zip(got, ref, strict=True):
+        assert len(levels.slices) == len(ref_levels)
+        flat = (levels.link, levels.pair, levels.src, levels.dst)
+        for s, ref in zip(levels.slices, ref_levels):
+            for a, b in zip((arr[s] for arr in flat), ref, strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+        # the slices tile the flat arrays in order
+        ends = [s.stop for s in levels.slices]
+        assert [s.start for s in levels.slices] == ([0] + ends)[:-1]
+        assert all(arr.size == (ends[-1] if ends else 0) for arr in flat)
+        srcs = [int(x) for _, _, src, _ in ref_levels for x in src]
+        assert levels.one_out == (len(srcs) == len(set(srcs)))
+        assert levels.shape == (active.shape[0], top.num_nodes)
+        assert all(arr.dtype == np.int64 for arr in flat)
         return acyclic
 
     def test_random_masks(self):
@@ -272,6 +290,41 @@ class TestLevelsMatchLoop:
         phi = traj.strategy.phi
         assert self._check(top, phi != 0).all()
         assert self._check(top, phi > PHI_ACTIVE).all()
+
+
+class TestReverseScatter:
+    """On a layout with one pair per (item, node), ``sweep_reverse`` writes
+    each level's terms in place; that gives the bits of the ``np.add.at``
+    form, zero weights and zero prices included."""
+
+    def test_random_single_successor_layouts(self):
+        rng = np.random.default_rng(1414)
+        swept = 0
+        for _ in range(200):
+            top, _, _, _ = random_loopfree_instance(rng, max_nodes=8)
+            C = int(rng.integers(1, 5))
+            # each node forwards to a random lower-ranked neighbor, if any
+            active = np.zeros((C, top.num_links), dtype=bool)
+            for k in range(C):
+                rank = rng.permutation(top.num_nodes)
+                for i in range(top.num_nodes):
+                    down = [e for e in top.out_edges[i]
+                            if rank[top.dst[e]] < rank[i]]
+                    if down and rng.random() < 0.8:
+                        active[k, rng.choice(down)] = True
+            levels, acyclic = dag_levels(top, active)
+            assert levels.one_out and acyclic.all()
+            P = levels.pair.size
+            w = rng.uniform(0.0, 1.0, P)
+            w[rng.random(P) < 0.25] = 0.0
+            w[rng.random(P) < 0.1] = 1.0
+            c = rng.uniform(0.0, 2.0, P)
+            c[rng.random(P) < 0.25] = 0.0
+            got = sweep_reverse(levels, w, c)
+            added = sweep_reverse(levels._replace(one_out=False), w, c)
+            assert got.tobytes() == added.tobytes()
+            swept += P > 0
+        assert swept > 180
 
 
 class TestLevelReuse:
@@ -692,6 +745,17 @@ class TestGcfwMatchesReference:
             for prices in (inst.cost.link_deriv(F)[top.rev], zero_prices):
                 got = inst.saved_cost(y, t, prices)
                 assert np.array_equal(got, reference_saved_cost(inst, y, t, prices))
+
+    @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
+    def test_batch_gains_match_eval_gain(self, preset):
+        # the batched grid of acceptance criterion 6 relies on these bits
+        rng = np.random.default_rng(88)
+        _, inst = self._instance(preset, 1)
+        ys = rng.uniform(0.0, 1.0, (4, *inst.demand.server_mask.shape))
+        ys[rng.random(ys.shape) < 0.3] = 0.0
+        ys[0] = 0.0
+        want = [eval_gain(inst, y).G for y in ys]
+        assert batch_gains(inst, ys).tolist() == want
 
     @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
     def test_costgreedy_costs(self, preset, monkeypatch):

@@ -77,6 +77,15 @@ class TestTokens:
         assert pool.draw(rng) is None
 
 
+class TestSchedule:
+    @pytest.mark.parametrize("field", ["t_slot", "t_monitor", "hop_latency"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_interval_rejected(self, field, bad):
+        # NaN passes a `<= 0` check and inf puts every request in flight
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            SimSchedule(**{field: bad})
+
+
 class TestEventLoop:
     def test_zero_rates_zero_flows(self):
         scen = line_scenario(rate=0.0)
