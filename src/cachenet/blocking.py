@@ -11,12 +11,12 @@ positive-phi DAG, recomputed every period.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DisconnectedDemandError, LoopError
-from .flow import fold_out_links
+from .flow import fold_out_links, pair_index
 from .marginals import PHI_ACTIVE
 
 
@@ -29,6 +29,22 @@ class BlockedSets:
 
     mode: str                 # "static" | "dynamic"
     mask: np.ndarray          # bool, (num_items, num_links)
+    _index: object = field(default=None, repr=False, compare=False)
+    # static sets: the instance's (unblocked mask, PairIndex), shared by
+    # every call on it
+    _kept: tuple = field(default=(None, None), repr=False, compare=False)
+
+    def pair_index(self, topology):
+        """The ``flow.PairIndex`` of the unblocked pairs.  The first call
+        makes the mask read-only, so the index cannot go stale, and builds
+        it, or takes the instance's if the mask still equals its own."""
+        if self._index is None:
+            self.mask.flags.writeable = False
+            unblocked, index = self._kept
+            if unblocked is None or not np.array_equal(unblocked, ~self.mask):
+                index = pair_index(topology, ~self.mask)
+            self._index = index
+        return self._index
 
     def is_blocked(self, topology, i, j, k):
         e = topology.edge_index.get((i, j))
@@ -131,13 +147,26 @@ def static_blocked_sets(topology, demand, cost):
     path is no farther and one hop nearer.  Raises DisconnectedDemandError
     if some node cannot reach a server at all (or, as a guard, is left
     without an unblocked out-link), on every call.  The order is built once
-    per instance and kept; each call returns a fresh mask that the caller
-    may write into.
+    per instance and kept, as is the index of the unblocked pairs that the
+    marginals read; each call returns a fresh mask that the caller may
+    write into.
     """
     before, _ = _zero_flow_order(topology, demand, cost.link)
     mask = ~before
     _check_reachability(topology, demand, mask)
-    return BlockedSets(mode="static", mask=mask)
+    return BlockedSets(mode="static", mask=mask,
+                       _kept=_unblocked_index(topology, demand, cost.link))
+
+
+@functools.lru_cache(maxsize=1)
+def _unblocked_index(topology, demand, link_costs):
+    """(unblocked mask, ``flow.PairIndex``) of the static sets, kept for
+    the last instance as ``_zero_flow_order`` is."""
+    before, _ = _zero_flow_order(topology, demand, link_costs)
+    index = pair_index(topology, before)
+    for arr in index:
+        arr.flags.writeable = False
+    return before, index
 
 
 def sp_next_links(topology, demand, cost):

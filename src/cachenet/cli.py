@@ -51,6 +51,13 @@ def finite_float(text):
     return value
 
 
+def probability(text):
+    value = finite_float(text)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"not in (0, 1]: {text!r}")
+    return value
+
+
 def parse_size(text):
     if "x" in text:
         a, b = text.split("x")
@@ -82,7 +89,7 @@ def build_parser():
                    help="uniform unit cache price (overrides the range)")
     g.add_argument("--cache-price-range", default="10,10", type=parse_range)
     g.add_argument("--link-cost", default="poly3", choices=["poly3", "linear"])
-    g.add_argument("--er-p", type=float, default=0.07)
+    g.add_argument("--er-p", type=probability, default=0.07)
 
     a = p.add_argument_group("algorithm")
     a.add_argument("--algorithm", default="gp",

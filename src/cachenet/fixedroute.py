@@ -9,6 +9,7 @@ monotone DR-submodular routing saving A and a convex cache cost B.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,17 +37,28 @@ class FixedRoutingInstance:
         self.next_hop = dict(next_hop)
         top, dem = topology, demand
         C, V = dem.num_items, top.num_nodes
-        hop = np.zeros((C, top.num_links), dtype=bool)
-        forwards = np.zeros((C, V), dtype=bool)
-        for (i, k), j in self.next_hop.items():
-            if i in dem.servers[k]:
+        n = len(self.next_hop)
+        i, k = np.fromiter(itertools.chain.from_iterable(self.next_hop),
+                           dtype=np.intp, count=2 * n).reshape(n, 2).T
+        j = np.fromiter(self.next_hop.values(), dtype=np.intp, count=n)
+        # links sort by (src, dst): look each (i, j) up by its key i * V + j
+        # among theirs, which end with V * V, the key of no link
+        node = (i >= 0) & (i < V)
+        keys, key = np.append(top.src * V + top.dst, V * V), i * V + j
+        e = np.minimum(np.searchsorted(keys, key), top.num_links)
+        link = node & (j >= 0) & (j < V) & (keys[e] == key)
+        server = node & dem.server_mask[k, np.where(node, i, 0)]
+        bad = np.flatnonzero(server | ~link)
+        if bad.size:  # the first offender in dict order
+            (i, k), j = next(itertools.islice(self.next_hop.items(), bad[0], None))
+            if server[bad[0]]:
                 raise IllRoutedError(
                     f"next hop defined for designated server {i} of item {k}"
                 )
-            e = top.edge_index.get((i, j))
-            if e is None:
-                raise IllRoutedError(f"next hop ({i} -> {j}) is not a link")
-            hop[k, e] = forwards[k, i] = True
+            raise IllRoutedError(f"next hop ({i} -> {j}) is not a link")
+        hop = np.zeros((C, top.num_links), dtype=bool)
+        forwards = np.zeros((C, V), dtype=bool)
+        hop[k, e] = forwards[k, i] = True
         self._levels, acyclic = dag_levels(top, hop)
         if not acyclic.all():
             raise IllRoutedError(

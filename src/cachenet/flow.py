@@ -170,6 +170,27 @@ def dag_levels(topology, active):
                   (C, V)), acyclic
 
 
+# The unblocked (item, link) pairs in flat (item, link) order, so each
+# (item, node)'s out-links are contiguous and in link order (links sort by
+# (src, dst)): per pair its flat (item, link) index, link and the flat
+# (item, node) indices of its source and head; and the unblocked out-degree
+# n_out (items, nodes).
+PairIndex = namedtuple("PairIndex", "pair link src head n_out")
+
+
+def pair_index(topology, unblocked):
+    """``PairIndex`` of the (items, links) bool mask ``unblocked``."""
+    C, E = unblocked.shape
+    V = topology.num_nodes
+    pair = np.flatnonzero(unblocked)
+    base = np.repeat(np.arange(C), np.count_nonzero(unblocked, axis=1))
+    link = pair - base * E
+    base *= V
+    src = base + topology.src[link]
+    n_out = np.bincount(src, minlength=C * V).reshape(C, V)
+    return PairIndex(pair, link, src, base + topology.dst[link], n_out)
+
+
 def fold_out_links(src, link_vals, ufunc, start):
     """(C, V) fold of (C, E) link values at each link's source node ``src``,
     in link order, starting from the (C, V) array ``start`` (which is

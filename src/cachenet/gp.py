@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocking import dynamic_blocked_sets, sp_next_links, static_blocked_sets
 from .errors import CacheNetError, ConfigurationError, require_finite_positive
-from .flow import T_ZERO, Strategy, fold_out_links, solve_traffic
+from .flow import T_ZERO, Strategy, solve_traffic
 from .marginals import PHI_ACTIVE, compute_marginals, vectorized_residuals
 
 
@@ -64,76 +64,55 @@ def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):
     unblocked hop of least delta, ties to the lowest neighbor id.  Servers
     and pairs without an unblocked out-link are left alone.  Each node sums
     its removed mass over its out-links in link order, then the cache.
-    ``marg`` must be computed with the same ``blocked``.
+    The step walks the direction table of ``marg``, computed at this
+    strategy with the same ``blocked``.
     """
-    src, dst = topology.src, topology.dst
-    phi, y = strategy.phi, strategy.y
+    y = strategy.y
     C, V = y.shape
-    unblocked = ~blocked.mask
-    # The step's (C, E) float arrays are three views of one block, filled
-    # in place.  As separate temporaries they made glibc grow and trim the
-    # heap on every step and fault its pages back in, here and in the code
-    # run next; freeing one block of this size raises glibc's trim
-    # threshold above that churn.
-    work, at_src, as_float = np.empty((3,) + phi.shape)
+    tab = marg.directions(blocked)
+    src = tab.src
 
-    def gather(node_vals):
-        """(C, E) copy of (C, V) values at each link's source node
-        (mode="clip" lets take write straight into the buffer)."""
-        return np.take(node_vals, src, axis=1, out=at_src, mode="clip")
-
-    def per_node(edge_vals, ufunc=np.add, start=0.0):
-        """(C, V) fold of (C, E) values over each node's out-links, in
-        link order."""
-        if edge_vals.dtype != float:
-            np.copyto(as_float, edge_vals)
-            edge_vals = as_float
-        return fold_out_links(src, edge_vals, ufunc, np.full((C, V), start, dtype=float))
-
-    pairs = pairs & ~demand.server_mask & (per_node(unblocked) > 0)
+    pairs = pairs & ~demand.server_mask & (tab.n_out > 0)
     idle = pairs & (flow.t <= T_ZERO)
     busy = pairs & ~idle
-    idle_e, busy_e = idle[:, src], busy[:, src]
-
     with np.errstate(invalid="ignore"):   # inf - inf where delta_min is inf
-        excess = np.subtract(marg.delta_link, gather(marg.delta_min), out=work)
         e_cache = marg.delta_cache - marg.delta_min
-    ties = unblocked & (excess == 0.0)
-    receivers = busy_e & ties
+    ties = tab.excess == 0.0
     cache_receives = busy & (e_cache == 0.0)
-    n = per_node(ties) + cache_receives
+    n = np.bincount(src[ties], minlength=C * V).reshape(C, V) + cache_receives
     stuck = pairs & (n == 0)         # only where delta_min is inf or NaN
     if stuck.any():
         i, k = np.argwhere(stuck.T)[0]
         raise CacheNetError(f"no minimum-marginal direction at node {i}, item {k}")
     y_step = np.where((e_cache > 0.0) & (y > 0.0), np.minimum(y, alpha * e_cache), 0.0)
 
-    # Mass each link gives up: min(phi, alpha * e) where e > 0 and all
-    # blocked mass at a busy pair, all mass off the best hop at an idle pair.
-    shed = busy_e & unblocked & (excess > 0.0) & (phi > 0.0)
-    removed = np.minimum(phi, np.multiply(excess, alpha, out=work), out=work)
-    removed[~shed] = 0.0
-    np.copyto(removed, phi, where=busy_e & blocked.mask)
-    if idle.any():
-        # best unblocked hop: a tie at delta_min (the cache is +inf at
-        # t = 0), then the lowest neighbor id
-        np.copyto(as_float, dst)
-        as_float[~ties] = V
-        best = ties & (dst == gather(per_node(as_float, np.minimum, V)))
-        np.copyto(removed, phi, where=idle_e & ~best)
-    else:
-        best = np.zeros_like(unblocked)
+    # Mass given up: min(phi, alpha * e) where e > 0 at a busy pair, all of
+    # it off every hop but the best at an idle pair (its first tie at
+    # delta_min, as the cache is +inf at t = 0: the lowest neighbor id, as
+    # links sort by (src, dst)), and all blocked mass of a selected pair.
+    busy_p, idle_p = busy.reshape(-1)[src], idle.reshape(-1)[src]
+    cand = np.flatnonzero(ties & idle_p)
+    best = cand[np.diff(src[cand], prepend=-1) != 0]
+    gains = busy_p & ties
+    gains[best], idle_p[best] = True, False
+    shed = np.flatnonzero((busy_p & (tab.excess > 0.0) | idle_p) & (tab.phi > 0.0))
+    removed = np.where(busy_p[shed], np.minimum(tab.phi[shed], tab.excess[shed] * alpha),
+                       tab.phi[shed])
+    sel = pairs.reshape(-1)[tab.held_src]
+    held, held_phi = tab.held[sel], strategy.phi.reshape(-1)[tab.held[sel]]
+    drop = np.concatenate([tab.pair[shed], held])
+    order = np.argsort(drop, kind="stable")   # each node sums in link order
     y_removed = np.where(idle, y, np.where(busy, y_step, 0.0))
-    moved = per_node(removed) + y_removed
+    moved = np.bincount(np.concatenate([src[shed], tab.held_src[sel]])[order],
+                        np.concatenate([removed, held_phi])[order],
+                        minlength=C * V).reshape(C, V) + y_removed
     share = np.where(idle, moved, moved / np.maximum(n, 1))
 
-    gains = np.where(idle_e, best, receivers) & (moved > 0.0)[:, src]
-    changed = gains | (removed > 0.0)
-    new_phi = np.negative(removed, out=work)
-    np.copyto(new_phi, gather(share), where=gains)
-    new_phi += phi
-    np.minimum(1.0, np.maximum(0.0, new_phi, out=new_phi), out=new_phi)
-    np.copyto(phi, new_phi, where=changed)
+    gains = np.flatnonzero(gains & (moved.reshape(-1) > 0.0)[src])
+    new_phi = np.concatenate([tab.phi[gains] + share.reshape(-1)[src[gains]],
+                              tab.phi[shed] - removed, held_phi - held_phi])
+    np.put(strategy.phi, np.concatenate([tab.pair[gains], drop]),
+           np.minimum(1.0, np.maximum(0.0, new_phi)))
     y_gains = cache_receives & (moved > 0.0)
     d_y = np.where(y_gains, share, -y_removed)
     np.copyto(y, np.minimum(1.0, np.maximum(0.0, y + d_y)),

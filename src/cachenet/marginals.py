@@ -13,6 +13,8 @@ when t_i(k) = 0), and their minimum delta_i(k).
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,7 @@ from .flow import (
     T_ZERO,
     dag_levels,
     fold_out_links,
+    pair_index,
     solve_dense,
     solve_traffic,
     sweep_reverse,
@@ -29,26 +32,51 @@ from .flow import (
 PHI_ACTIVE = 1e-12  # routing fractions above this count as active directions
 
 
+# The direction table of one period: the ``PairIndex`` of the unblocked
+# pairs, each pair's ``delta`` = delta_ij(k), ``phi`` and ``excess`` (delta
+# minus delta_min at its source), the least unblocked delta ``link_min``
+# (items, nodes; +inf without one), and the blocked pairs holding phi > 0
+# (flat (item, link) indices ``held``, flat sources ``held_src``).
+Directions = namedtuple("Directions", "pair link src head n_out delta phi "
+                                     "excess link_min held held_src")
+
+
 @dataclass
 class MarginalState:
     """dT/dr plus the per-direction marginals delta.
 
     dTdr[k, i]       : dT/dr_i(k)
-    delta_link[k, e] : delta_ij(k) for link e = (i, j)
+    delta_link[k, e] : delta_ij(k) for link e = (i, j), computed when read
     delta_cache[k,i] : delta_i0(k), +inf where t_i(k) = 0
     delta_min[k, i]  : delta_i(k), min over the cache direction and the
                        (unblocked) neighbors
     acyclic[k]       : whether item k's positive-phi subgraph was acyclic
                        (reverse sweep) or needed the dense solve
+    table            : the ``Directions`` of ``blocked``, which
+                       ``vectorized_residuals`` and ``gp_step`` read
     """
 
     dTdr: np.ndarray
-    delta_link: np.ndarray
     delta_cache: np.ndarray
     delta_min: np.ndarray
     link_deriv: np.ndarray
     cache_deriv: np.ndarray
     acyclic: np.ndarray = None
+    topology: object = field(default=None, repr=False)
+    blocked: object = field(default=None, repr=False)
+    table: Directions = field(default=None, repr=False)
+
+    @functools.cached_property
+    def delta_link(self):
+        top = self.topology
+        return self.link_deriv[top.rev][None, :] + self.dTdr[:, top.dst]
+
+    def directions(self, blocked):
+        """The direction table, which holds for the ``blocked`` sets these
+        marginals were computed with and no others."""
+        if blocked is not self.blocked:
+            raise ValueError("marginals were computed with other blocked sets")
+        return self.table
 
 
 def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
@@ -62,10 +90,10 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     the pairs at phi <= PHI_ACTIVE weighted 0, which gives the values of a
     sweep over the active pairs alone; the active subgraph is leveled anew
     when ``flow`` has no layout, has a cyclic item, or misses an active
-    pair.  When ``blocked`` is given, delta_min minimizes only over
-    unblocked neighbors.
+    pair.  The direction table of ``blocked`` (None: nothing blocked) is
+    built here, once, and delta_min minimizes only over its pairs.
     """
-    V, C = topology.num_nodes, demand.num_items
+    V = topology.num_nodes
     phi = strategy.phi
     Dp = cost.link_deriv(flow.F)          # D'_ij(F_ij) per link
     Bp = cost.cache_deriv(flow.Y)         # B'_i(Y_i) per node
@@ -88,24 +116,22 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
                            np.zeros((len(phi_c), V)))
         dTdr[cyclic] = solve_dense(topology, phi_c, c, transpose=True)
 
-    delta_link = resp_deriv[None, :] + dTdr[:, topology.dst]
     with np.errstate(divide="ignore"):
         delta_cache = np.where(flow.t > T_ZERO, Bp[None, :] / np.maximum(flow.t, T_ZERO), np.inf)
-
-    blocked_mask = blocked.mask if blocked is not None else None
-    dl = delta_link if blocked_mask is None else np.where(blocked_mask, np.inf, delta_link)
-    delta_min = fold_out_links(topology.src, dl, np.minimum, np.full((C, V), np.inf))
-    delta_min = np.minimum(delta_min, delta_cache)
-
-    return MarginalState(
-        dTdr=dTdr,
-        delta_link=delta_link,
-        delta_cache=delta_cache,
-        delta_min=delta_min,
-        link_deriv=Dp,
-        cache_deriv=Bp,
-        acyclic=acyclic,
-    )
+    # the direction table; its index part comes from the blocked sets
+    mask = np.zeros(phi.shape, dtype=bool) if blocked is None else blocked.mask
+    index = pair_index(topology, ~mask) if blocked is None else blocked.pair_index(topology)
+    delta = resp_deriv[index.link] + dTdr.ravel()[index.head]
+    link_min = np.full(dTdr.shape, np.inf)
+    np.minimum.at(link_min.reshape(-1), index.src, delta)
+    delta_min = np.minimum(link_min, delta_cache)
+    with np.errstate(invalid="ignore"):   # inf - inf where delta_min is inf
+        excess = delta - delta_min.ravel()[index.src]
+    k, e = np.divmod(np.flatnonzero((phi > 0.0) & mask), topology.num_links)
+    table = Directions(*index, delta, phi.ravel()[index.pair], excess, link_min,
+                       k * topology.num_links + e, k * V + topology.src[e])
+    return MarginalState(dTdr, delta_cache, delta_min, Dp, Bp, acyclic,
+                         topology, blocked, table)
 
 
 # ---------------------------------------------------------------------------
@@ -172,49 +198,40 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
 
     Returns (pair_resid, parts, delta) where pair_resid[k, i] is the worst
     residual attributable to node i's item-k conditions, parts is a dict of
-    the raw per-edge / per-pair arrays used to itemize violations, and delta
-    the minimum each pair's conditions are measured against.
+    the raw arrays used to itemize violations (route parts per entry of the
+    direction table, ``r_block`` per ``held`` pair, cache parts per (item,
+    node)), and delta the minimum each pair's conditions are measured
+    against.
     ``cache_caps`` maps (i, k) to an upper bound on y_i(k) (evaluation
     fixtures): a pair at its cap excludes the cache from its minimum (delta
     is the least unblocked link marginal, and a capped pair without an
     unblocked link has no condition) and only requires B' <= t * delta.
     """
     C, V = demand.num_items, topology.num_nodes
-    src = topology.src
     phi, y, t = strategy.phi, strategy.y, flow.t
-    blocked_mask = blocked.mask if blocked is not None else None
-    unblocked = (
-        np.ones_like(phi, dtype=bool) if blocked_mask is None else ~blocked_mask
-    )
+    tab = marg.directions(blocked)
     conds = ~demand.server_mask           # pairs that carry conditions
     delta = marg.delta_min
     capped = np.zeros((C, V), dtype=bool)
+    gap = tab.excess
     if cache_caps:
         cap = np.full((C, V), np.inf)
         for (i, k), c in cache_caps.items():
             cap[k, i] = c
         capped = y >= cap - 1e-12
-        link_min = fold_out_links(src, np.where(unblocked, marg.delta_link, np.inf),
-                                  np.minimum, np.full((C, V), np.inf))
-        n_links = fold_out_links(src, unblocked.astype(int), np.add,
-                                 np.zeros((C, V), dtype=int))
-        conds &= ~capped | (n_links > 0)
+        conds &= ~capped | (tab.n_out > 0)
         capped &= conds
-        delta = np.where(capped, link_min, delta)
-    cond_e = conds[:, src]
-    active = phi > PHI_ACTIVE
+        delta = np.where(capped, tab.link_min, delta)
+        with np.errstate(invalid="ignore"):   # inf - inf on all-inf links
+            gap = tab.delta - delta.ravel()[tab.src]
+    cond_p = conds.ravel()[tab.src]
+    active = tab.phi > PHI_ACTIVE
 
-    with np.errstate(invalid="ignore"):   # inf - inf on all-inf links
-        gap = marg.delta_link - delta[:, src]
-    r_act = np.where(active & unblocked & cond_e, np.abs(gap), 0.0)
-    r_inact = np.where(
-        (~active) & unblocked & cond_e, np.maximum(0.0, -gap), 0.0
-    )
-    r_block = (
-        np.where(active & (~unblocked) & cond_e, phi, 0.0)
-        if blocked_mask is not None
-        else np.zeros_like(phi)
-    )
+    r_act = np.where(active & cond_p, np.abs(gap), 0.0)
+    r_inact = np.where(~active & cond_p, np.maximum(0.0, -gap), 0.0)
+    held_phi = phi.ravel()[tab.held]
+    r_block = np.where((held_phi > PHI_ACTIVE) & conds.ravel()[tab.held_src],
+                       held_phi, 0.0)
 
     scale = np.maximum(1.0, t)
     t_zero = t <= T_ZERO
@@ -229,8 +246,8 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
     c_cap = np.where(capped, np.maximum(0.0, cgap) / scale, 0.0)
 
     pair = np.maximum(np.maximum(c_act, c_inact), np.maximum(c_t0, c_cap))
-    edge_worst = np.maximum(np.maximum(r_act, r_inact), r_block)
-    pair = fold_out_links(src, edge_worst, np.maximum, pair)
+    np.maximum.at(pair.reshape(-1), tab.src, np.maximum(r_act, r_inact))
+    np.maximum.at(pair.reshape(-1), tab.held_src, r_block)
     parts = {
         "r_act": r_act, "r_inact": r_inact, "r_block": r_block,
         "c_act": c_act, "c_inact": c_inact, "c_t0": c_t0, "c_cap": c_cap,
@@ -260,17 +277,19 @@ def check_modified_condition(topology, demand, strategy, cost, blocked=None,
     worst = float(pair.max()) if pair.size else 0.0
     violations = []
     if worst > tol:
-        links = topology.links
+        tab = marg.directions(blocked)
+        E, V = topology.num_links, topology.num_nodes
         for name, arr in parts.items():
-            for idx in np.argwhere(arr > tol):
+            for n in np.flatnonzero(arr > tol):
                 if name.startswith("r"):
-                    k, e = idx
+                    p = (tab.held if name == "r_block" else tab.pair)[n]
+                    k, e = divmod(int(p), E)
                     loc = ("route" if name != "r_block" else "blocked_mass",
-                           links[e], int(k))
+                           topology.links[e], k)
                 else:
-                    k, i = idx
-                    loc = ("cache_t0" if name == "c_t0" else "cache", int(i), int(k))
-                violations.append((loc, float(arr[tuple(idx)])))
+                    k, i = divmod(int(n), V)
+                    loc = ("cache_t0" if name == "c_t0" else "cache", i, k)
+                violations.append((loc, float(arr.flat[n])))
     return ConditionReport(
         kind="modified", multipliers=np.array(delta, copy=True), worst=worst,
         violations=violations, tol=tol, passed=worst <= tol,

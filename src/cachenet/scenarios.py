@@ -84,6 +84,8 @@ def fog_links(arity, depth):
 
 def connected_er_links(n, p, rng):
     """Erdos-Renyi with bidirectional links, resampled until connected."""
+    if not 0.0 < p <= 1.0:
+        raise ConfigurationError(f"ER link probability p must lie in (0, 1], got {p}")
     for _ in range(10_000):
         links = []
         adj = [[] for _ in range(n)]
@@ -134,8 +136,9 @@ def small_world_links(n, rng, target=None, tolerance=0.1):
 def zipf_weights(catalog, exponent):
     """Normalized Zipf weights, w_k proportional to 1/k^s."""
     ranks = np.arange(1, catalog + 1, dtype=float)
-    w = ranks ** (-exponent)
-    return w / w.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
+        w = ranks ** (-exponent)
+        return w / w.sum()
 
 
 def build_topology(spec, rng):
@@ -179,11 +182,18 @@ def generate_scenario(spec, seed):
 
     servers = [{int(rng.integers(n))} for _ in range(C)]
     weights = zipf_weights(C, spec.zipf)
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise ConfigurationError(
+            f"zipf exponent {spec.zipf} must give finite, non-negative item weights")
+    # rng.choice(C, p=weights) per draw, without re-checking p each time:
+    # numpy's own formula, so the same random stream and the same items
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
     rates = np.zeros((C, n))
     chosen = set()
     while len(chosen) < R:
         i = int(rng.integers(n))
-        k = int(rng.choice(C, p=weights))
+        k = int(cdf.searchsorted(rng.random(), side="right"))
         if (i, k) in chosen or i in servers[k]:
             continue
         chosen.add((i, k))

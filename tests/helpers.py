@@ -12,12 +12,14 @@ from cachenet.marginals import PHI_ACTIVE, compute_marginals
 from cachenet.network import (
     CostModel,
     Demand,
+    Scenario,
     Topology,
     linear_cache_costs,
     linear_link_costs,
     poly3_link_costs,
     zero_costs,
 )
+from cachenet.scenarios import build_topology, zipf_weights
 from cachenet.sim import SimulationRun, Simulator
 
 
@@ -323,11 +325,12 @@ def reference_gp_step(topology, demand, strategy, flow, marg, blocked, alpha,
 
 
 def reference_residuals(topology, demand, strategy, flow, marg, blocked=None,
-                        cache_caps=None):
+                        cache_caps=None, per_pair=False):
     """Loop form of the modified-condition residuals with a cap table;
-    returns (worst, delta_used)."""
+    returns (worst, delta_used), or with ``per_pair`` the (items, nodes)
+    worst of each pair's conditions in place of worst."""
     blocked_mask = blocked.mask if blocked is not None else None
-    worst = 0.0
+    pair_worst = np.zeros((demand.num_items, topology.num_nodes))
     delta_used = np.array(marg.delta_min, copy=True)
     for k in range(demand.num_items):
         for i in range(topology.num_nodes):
@@ -352,7 +355,7 @@ def reference_residuals(topology, demand, strategy, flow, marg, blocked=None,
 
             # the condition forces y = 0 where t = 0
             if ti <= T_ZERO and y_ > 0 and not capped:
-                worst = max(worst, y_)
+                pair_worst[k, i] = max(pair_worst[k, i], y_)
             else:
                 gap = marg.cache_deriv[i] - (0.0 if delta == np.inf else ti * delta)
                 if capped:
@@ -361,7 +364,7 @@ def reference_residuals(topology, demand, strategy, flow, marg, blocked=None,
                     resid = abs(gap) / scale
                 else:
                     resid = max(0.0, -gap / scale)
-                worst = max(worst, resid)
+                pair_worst[k, i] = max(pair_worst[k, i], resid)
 
             for e in edges:
                 dv = marg.delta_link[k, e]
@@ -369,12 +372,13 @@ def reference_residuals(topology, demand, strategy, flow, marg, blocked=None,
                     resid = abs(dv - delta)
                 else:
                     resid = max(0.0, delta - dv)
-                worst = max(worst, resid)
+                pair_worst[k, i] = max(pair_worst[k, i], resid)
             if blocked_mask is not None:
                 for e in topology.out_edges[i]:
                     if blocked_mask[k, e] and strategy.phi[k, e] > PHI_ACTIVE:
-                        worst = max(worst, strategy.phi[k, e])
-    return worst, delta_used
+                        pair_worst[k, i] = max(pair_worst[k, i], strategy.phi[k, e])
+    return (pair_worst if per_pair else float(pair_worst.max(initial=0.0)),
+            delta_used)
 
 
 def reference_kkt(topology, demand, strategy, cost, tol=1e-6, flow=None,
@@ -857,3 +861,41 @@ def reference_bar_decision(y, u):
     for k, spans in enumerate(reference_bar_intervals(y)):
         x[k] = any(start <= u < end for _, start, end in spans)
     return x
+
+
+def reference_generate_scenario(spec, seed):
+    """``scenarios.generate_scenario`` with one ``rng.choice(C, p=weights)``
+    call per drawn request, as it was first written."""
+    rng = np.random.default_rng(seed)
+    top, file_d, file_b = build_topology(spec, rng)
+    n, C, R = top.num_nodes, int(spec.catalog), int(spec.requests)
+    servers = [{int(rng.integers(n))} for _ in range(C)]
+    weights = zipf_weights(C, spec.zipf)
+    rates = np.zeros((C, n))
+    chosen = set()
+    while len(chosen) < R:
+        i = int(rng.integers(n))
+        k = int(rng.choice(C, p=weights))
+        if (i, k) in chosen or i in servers[k]:
+            continue
+        chosen.add((i, k))
+        rates[k, i] = rng.uniform(*spec.rate_range)
+    dem = Demand(C, servers, rates)
+    if file_d is not None:
+        d = file_d
+    else:
+        lo, hi = spec.link_cost_range
+        pair_d = {}
+        d = np.empty(top.num_links)
+        for e, (i, j) in enumerate(top.links):
+            key = frozenset((i, j))
+            if key not in pair_d:
+                pair_d[key] = float(rng.uniform(lo, hi))
+            d[e] = pair_d[key]
+    link = poly3_link_costs(d) if spec.link_cost_kind == "poly3" else linear_link_costs(d)
+    b = file_b if file_b is not None else rng.uniform(*spec.cache_price_range, size=n)
+    cost = CostModel(link=link, cache=linear_cache_costs(b))
+    return Scenario(
+        topology=top, demand=dem, cost=cost, name=spec.name or spec.topology,
+        meta={"seed": int(seed), "link_d": d, "cache_b": np.asarray(b, float)},
+    )

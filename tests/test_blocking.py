@@ -140,6 +140,22 @@ class TestZeroFlowMemo:
         assert again.mask.flags.writeable
         assert np.array_equal(again.mask, clean)
 
+    def test_unblocked_pairs_indexed_once_per_instance(self):
+        # every call's sets share the instance's index; a mask written
+        # before its first use gets its own, and is read-only after it
+        top, dem, cost = grid2x2()
+        first, second = (static_blocked_sets(top, dem, cost) for _ in range(2))
+        assert first.pair_index(top) is second.pair_index(top)
+        assert not first.mask.flags.writeable
+        written = static_blocked_sets(top, dem, cost)
+        e = int(np.argmin(written.mask[0]))
+        written.mask[0, e] = True
+        index = written.pair_index(top)
+        assert index is not first.pair_index(top)
+        assert e not in index.pair and index.pair.size == first.pair_index(top).pair.size - 1
+        with pytest.raises(ValueError):
+            written.mask[0, e] = False
+
     def test_other_servers_get_their_own_sets(self, monkeypatch):
         calls = self._count_distances(monkeypatch)
         top, dem, cost = grid2x2()

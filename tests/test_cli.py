@@ -198,6 +198,18 @@ class TestErrors:
         assert f"error: argument {bad[0]}" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("bad", ["nan", "-0.1", "0", "1.5"])
+    def test_er_probability_outside_unit_interval_is_reported(self, tmp_path,
+                                                              capsys, bad):
+        # rejected while parsing, before any graph is drawn
+        with pytest.raises(SystemExit) as exc:
+            main(["--topology", "er", "--size", "50", "--er-p", bad,
+                  "--out", str(tmp_path / "p")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --er-p" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
     def test_bad_slot_duration_is_reported(self, tmp_path, capsys, bad):
         rc = main([

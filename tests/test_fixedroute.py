@@ -104,6 +104,20 @@ class TestInstance:
                 top, dem, cost, {(0, 0): 1, (1, 0): 2, (2, 0): 3, (3, 0): 2}
             )
 
+    @pytest.mark.parametrize("next_hop, message", [
+        ({(0, 0): 1, (1, 0): 3, (3, 0): 2}, "next hop (1 -> 3) is not a link"),
+        ({(0, 0): 1, (3, 0): 2, (1, 0): 3},
+         "next hop defined for designated server 3 of item 0"),
+        ({(0, 0): 1, (1, 0): 2, (2, 0): 7}, "next hop (2 -> 7) is not a link"),
+        ({(-1, 0): 0, (3, 0): 2}, "next hop (-1 -> 0) is not a link"),
+        ({(0, 0): 1, (1, 0): -1}, "next hop (1 -> -1) is not a link"),
+    ])
+    def test_first_offender_in_dict_order_is_named(self, next_hop, message):
+        inst = diamond_a()
+        with pytest.raises(IllRoutedError) as err:
+            FixedRoutingInstance(inst.topology, inst.demand, inst.cost, next_hop)
+        assert str(err.value) == message
+
     def test_missing_next_hop_rejected(self):
         inst = diamond_a()
         with pytest.raises(IllRoutedError):

@@ -12,12 +12,13 @@ from cachenet.blocking import (
     server_distances,
     static_blocked_sets,
 )
-from cachenet.errors import DisconnectedDemandError, LoopError
+from cachenet.errors import CacheNetError, DisconnectedDemandError, LoopError
 from cachenet.fixedroute import FixedRoutingInstance, eval_gain, gcfw
 from cachenet.flow import (
     T_ZERO,
     Strategy,
     dag_levels,
+    fold_out_links,
     solve_dense,
     solve_traffic,
     sweep_reverse,
@@ -31,7 +32,7 @@ from cachenet.gp import (
     shortest_path_strategy,
     sp_next_hops,
 )
-from cachenet.marginals import PHI_ACTIVE, compute_marginals
+from cachenet.marginals import PHI_ACTIVE, compute_marginals, vectorized_residuals
 from cachenet.network import (
     CostModel,
     Demand,
@@ -40,7 +41,7 @@ from cachenet.network import (
     linear_link_costs,
 )
 from cachenet.policies import flow_costgreedy
-from cachenet.scenarios import TABLE_PRESETS, generate_scenario
+from cachenet.scenarios import TABLE_PRESETS, ScenarioSpec, generate_scenario
 
 from helpers import (
     appendix_loop_fixture,
@@ -52,6 +53,7 @@ from helpers import (
     reference_dynamic_blocked_sets,
     reference_gcfw,
     reference_gp_step,
+    reference_residuals,
     reference_saved_cost,
     reference_server_distances,
     reference_shortest_path_strategy,
@@ -361,7 +363,34 @@ class TestLevelReuse:
         fresh = compute_marginals(top, dem, strat, bare, cost, blocked)
         for name in self.FIELDS:
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+        self._assert_eager_equal(top, reused, blocked)
         return reused
+
+    @staticmethod
+    def _assert_eager_equal(top, marg, blocked):
+        """delta_link read on demand and delta_min from the direction table
+        equal the full (items, links) forms bit for bit."""
+        link = marg.link_deriv[top.rev][None, :] + marg.dTdr[:, top.dst]
+        masked = link if blocked is None else np.where(blocked.mask, np.inf, link)
+        least = fold_out_links(top.src, masked, np.minimum,
+                               np.full(marg.dTdr.shape, np.inf))
+        assert marg.delta_link.tobytes() == link.tobytes()
+        assert marg.table.link_min.tobytes() == least.tobytes()
+        assert marg.delta_min.tobytes() == np.minimum(least, marg.delta_cache).tobytes()
+
+    @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
+    def test_on_demand_fields_equal_full_forms(self, preset):
+        scen = generate_scenario(TABLE_PRESETS[preset], seed=1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        for mode in ("static", "dynamic"):
+            traj = run_gp(top, dem, cost, GPConfig(
+                alpha=0.05, max_periods=8, tol=1e-12, blocked_mode=mode))
+            strat = traj.strategy
+            flow = solve_traffic(top, dem, strat, cost)
+            for blocked in (None, traj.blocked,
+                            dynamic_blocked_sets(top, dem, strat)):
+                marg = compute_marginals(top, dem, strat, flow, cost, blocked)
+                self._assert_eager_equal(top, marg, blocked)
 
     def _check(self, top, dem, cost, strat):
         flow = solve_traffic(top, dem, strat, cost)
@@ -514,6 +543,131 @@ class TestGpStepMatchesLoop:
                 for pairs in (np.ones(strat.y.shape, dtype=bool),
                               rng.random(strat.y.shape) < 0.5):
                     self._check(top, dem, cost, strat, blocked, pairs, 0.05)
+
+
+class TestDirectionTableMatchesLoop:
+    """The step and the residuals read the direction table of the unblocked
+    pairs; each of its special branches gives what the per-pair loops give,
+    bit for bit."""
+
+    @staticmethod
+    def _agree(top, dem, cost, strat, blocked, pairs, alpha=0.05, caps=None):
+        """Step and residuals against the loops; returns the table."""
+        fs = solve_traffic(top, dem, strat, cost)
+        marg = compute_marginals(top, dem, strat, fs, cost, blocked)
+        pair, _, delta = vectorized_residuals(top, dem, strat, fs, marg,
+                                              blocked, cache_caps=caps)
+        ref_pair, ref_delta = reference_residuals(top, dem, strat, fs, marg,
+                                                  blocked, caps, per_pair=True)
+        assert np.array_equal(pair, ref_pair)   # -0.0 == 0.0
+        assert np.array_equal(delta, ref_delta)
+        got, ref = strat.copy(), strat.copy()
+        gp_step(top, dem, got, fs, marg, blocked, alpha, pairs)
+        reference_gp_step(top, dem, ref, fs, marg, blocked, alpha, pairs)
+        assert got.phi.tobytes() == ref.phi.tobytes()
+        assert got.y.tobytes() == ref.y.tobytes()
+        return marg.table
+
+    def test_blocked_links_holding_mass(self):
+        # random masks block routed links, some holding 0 < phi <= PHI_ACTIVE,
+        # and servers forward: held entries, tiny ones, and served pairs
+        rng = np.random.default_rng(1616)
+        held = tiny = served = 0
+        for _ in range(60):
+            top, dem, cost, strat = random_loopfree_instance(rng, max_nodes=8)
+            routed = strat.phi > 0
+            strat.phi[routed & (rng.random(routed.shape) < 0.2)] = PHI_ACTIVE / 2
+            k = int(rng.integers(dem.num_items))
+            server = next(iter(dem.servers[k]))
+            strat.phi[k, top.out_edges[server][0]] = 0.5
+            blocked = BlockedSets("static", rng.random(routed.shape) < 0.4)
+            shape = strat.y.shape
+            caps = {(i, c): strat.y[c, i] for i in range(top.num_nodes)
+                    for c in range(dem.num_items) if rng.random() < 0.3}
+            for pairs in (np.ones(shape, dtype=bool), rng.random(shape) < 0.5):
+                for table in (None, caps):
+                    tab = self._agree(top, dem, cost, strat, blocked, pairs,
+                                      float(rng.choice([0.01, 0.5])), table)
+            held += tab.held.size
+            tiny += int((strat.phi.ravel()[tab.held] <= PHI_ACTIVE).sum())
+            served += int(dem.server_mask.ravel()[tab.held_src].sum()
+                          + dem.server_mask.ravel()[tab.src].sum())
+        assert held > 50 and tiny > 5 and served > 20
+
+    def test_idle_pairs_with_tied_hops(self):
+        # a grid with equal link costs and little demand: pairs without
+        # traffic see several equally cheap hops; spread their mass over
+        # every unblocked hop (and y) and the step parks it on the lowest
+        # neighbor id
+        rng = np.random.default_rng(1617)
+        spec = ScenarioSpec("grid", (5, 5), catalog=4, requests=3,
+                            link_cost_range=(0.1, 0.1))
+        tied = 0
+        for seed in range(1, 6):
+            scen = generate_scenario(spec, seed)
+            top, dem, cost = scen.topology, scen.demand, scen.cost
+            strat = shortest_path_strategy(top, dem, cost)
+            blocked = static_blocked_sets(top, dem, cost)
+            idle = ((solve_traffic(top, dem, strat, cost).t <= T_ZERO)
+                    & ~dem.server_mask)
+            k, i = np.nonzero(idle & (rng.random(idle.shape) < 0.7))
+            strat.y[k, i] = 0.3
+            out = idle[:, top.src] & ~blocked.mask
+            strat.phi[out] = 0.0
+            n_out = fold_out_links(top.src, out.astype(float), np.add,
+                                   np.zeros(idle.shape))
+            strat.phi[out] = ((1.0 - strat.y) / np.maximum(n_out, 1))[:, top.src][out]
+            pairs = np.ones(idle.shape, dtype=bool)
+            tab = self._agree(top, dem, cost, strat, blocked, pairs)
+            ties = np.bincount(tab.src[tab.excess == 0.0], minlength=idle.size)
+            tied += int((idle.ravel() & (ties >= 2)).sum())
+        assert tied > 10
+
+    def test_no_minimum_direction_raises_like_the_loop(self, monkeypatch):
+        # NaN marginals of one item leave its busy pairs no direction at
+        # the minimum
+        import cachenet.marginals
+
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        strat = shortest_path_strategy(top, dem, cost)
+        blocked = static_blocked_sets(top, dem, cost)
+        fs = solve_traffic(top, dem, strat, cost)
+        k = int(np.argmax((fs.t > T_ZERO).sum(axis=1)))
+        sweep = cachenet.marginals.sweep_reverse
+
+        def nan_item(*args):
+            g = sweep(*args)
+            g[k] = np.nan
+            return g
+
+        monkeypatch.setattr(cachenet.marginals, "sweep_reverse", nan_item)
+        errors = []
+        with np.errstate(invalid="ignore"):   # the NaN marginals compared
+            marg = compute_marginals(top, dem, strat, fs, cost, blocked)
+            for step in (gp_step, reference_gp_step):
+                with pytest.raises(CacheNetError,
+                                   match="no minimum-marginal") as err:
+                    step(top, dem, strat.copy(), fs, marg, blocked, 0.05,
+                         fs.t > T_ZERO)
+                errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+    def test_dynamic_sets_changing_between_periods(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=3)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        strat = shortest_path_strategy(top, dem, cost)
+        masks = []
+        for _ in range(30):
+            blocked = dynamic_blocked_sets(top, dem, strat)
+            masks.append(blocked.mask)
+            fs = solve_traffic(top, dem, strat, cost)
+            pairs = np.ones(strat.y.shape, dtype=bool)
+            self._agree(top, dem, cost, strat, blocked, pairs)
+            marg = compute_marginals(top, dem, strat, fs, cost, blocked)
+            gp_step(top, dem, strat, fs, marg, blocked, 0.05, pairs)
+        changed = sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
+        assert changed > 10
 
 
 class TestDynamicSetsMatchLoop:

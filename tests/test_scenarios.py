@@ -20,6 +20,8 @@ from cachenet.scenarios import (
     zipf_weights,
 )
 
+from helpers import reference_generate_scenario
+
 
 class TestTopologyCounts:
     def test_grid_5x5(self):
@@ -100,6 +102,32 @@ class TestGenerateScenario:
         spec = ScenarioSpec("grid", (2, 2), catalog=2, requests=100)
         with pytest.raises(ConfigurationError):
             generate_scenario(spec, seed=0)
+
+    @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
+    def test_same_scenarios_as_one_choice_call_per_draw(self, preset):
+        # the item draw inverts the Zipf CDF as rng.choice(C, p=w) does,
+        # so it takes the same random stream and returns the same items
+        spec = TABLE_PRESETS[preset]
+        for seed in range(1, 21):
+            got = generate_scenario(spec, seed)
+            ref = reference_generate_scenario(spec, seed)
+            assert got.topology.links == ref.topology.links
+            assert got.demand.servers == ref.demand.servers
+            assert got.demand.rates.tobytes() == ref.demand.rates.tobytes()
+            for key in ("link_d", "cache_b"):
+                assert got.meta[key].tobytes() == ref.meta[key].tobytes()
+
+    @pytest.mark.parametrize("zipf", [float("nan"), -1e6])
+    def test_zipf_without_weights_rejected(self, zipf):
+        spec = ScenarioSpec("grid", (3, 3), catalog=5, requests=10, zipf=zipf)
+        with pytest.raises(ConfigurationError, match="zipf"):
+            generate_scenario(spec, seed=1)
+
+    @pytest.mark.parametrize("p", [float("nan"), -0.1, 0.0, 1.5])
+    def test_er_probability_outside_unit_interval_rejected(self, p):
+        spec = ScenarioSpec("er", (50,), catalog=5, requests=10, er_p=p)
+        with pytest.raises(ConfigurationError, match="probability p"):
+            generate_scenario(spec, seed=1)
 
     def test_symmetric_link_costs(self):
         spec = ScenarioSpec("grid", (3, 3), catalog=5, requests=10,
