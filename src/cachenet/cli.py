@@ -58,6 +58,20 @@ def probability(text):
     return value
 
 
+def non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative: {text!r}")
+    return value
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"not >= 1: {text!r}")
+    return value
+
+
 def parse_size(text):
     if "x" in text:
         a, b = text.split("x")
@@ -81,7 +95,7 @@ def build_parser():
     g.add_argument("--scenario-file", default="",
                    help="load a full scenario document instead of generating")
     g.add_argument("--catalog", type=int, default=30)
-    g.add_argument("--requests", type=int, default=100)
+    g.add_argument("--requests", type=non_negative_int, default=100)
     g.add_argument("--zipf", type=finite_float, default=1.0)
     g.add_argument("--rate-range", default="1,5", type=parse_range)
     g.add_argument("--link-cost-range", default="0.1,0.1", type=parse_range)
@@ -113,12 +127,12 @@ def build_parser():
     s.add_argument("--trace", default="", help="write an event trace to this file")
 
     r = p.add_argument_group("run")
-    r.add_argument("--seed", type=int, default=1)
+    r.add_argument("--seed", type=non_negative_int, default=1)
     r.add_argument("--sweep-load", default="", type=parse_list,
                    help="comma list of request-rate scale factors")
     r.add_argument("--sweep-cache-price", default="", type=parse_list,
                    help="comma list of uniform unit cache prices")
-    r.add_argument("--jobs", type=int, default=1,
+    r.add_argument("--jobs", type=positive_int, default=1,
                    help="parallel workers for sweep points")
     r.add_argument("--out", default="run", help="output file prefix")
     return p

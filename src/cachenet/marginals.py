@@ -212,7 +212,7 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
     tab = marg.directions(blocked)
     conds = ~demand.server_mask           # pairs that carry conditions
     delta = marg.delta_min
-    capped = np.zeros((C, V), dtype=bool)
+    capped = None
     gap = tab.excess
     if cache_caps:
         cap = np.full((C, V), np.inf)
@@ -237,15 +237,19 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
     t_zero = t <= T_ZERO
     prod = t * np.where(np.isfinite(delta), delta, 0.0)
     cgap = marg.cache_deriv[None, :] - prod
-    free = conds & ~capped
+    free = conds if capped is None else conds & ~capped
     c_act = np.where((y > 0) & ~t_zero & free, np.abs(cgap) / scale, 0.0)
     c_inact = np.where(
         (y <= 0) & ~t_zero & free, np.maximum(0.0, -cgap) / scale, 0.0
     )
     c_t0 = np.where((y > 0) & t_zero & free, y, 0.0)
-    c_cap = np.where(capped, np.maximum(0.0, cgap) / scale, 0.0)
 
-    pair = np.maximum(np.maximum(c_act, c_inact), np.maximum(c_t0, c_cap))
+    pair = np.maximum(np.maximum(c_act, c_inact), c_t0)
+    if capped is None:
+        c_cap = np.zeros((C, V))
+    else:
+        c_cap = np.where(capped, np.maximum(0.0, cgap) / scale, 0.0)
+        np.maximum(pair, c_cap, out=pair)
     np.maximum.at(pair.reshape(-1), tab.src, np.maximum(r_act, r_inact))
     np.maximum.at(pair.reshape(-1), tab.held_src, r_block)
     parts = {

@@ -64,6 +64,7 @@ class RelaxedStrategyPolicy(SimPolicy):
         self._rebuild_bar_maps()
         C, V = scenario.demand.num_items, scenario.topology.num_nodes
         self.x = np.zeros((C, V), dtype=np.int8)
+        self._hit = self.x.astype(bool).tolist()   # x as lists, for is_hit
         self._theory = None
 
     def initial_strategy(self, scenario):
@@ -77,9 +78,10 @@ class RelaxedStrategyPolicy(SimPolicy):
         u = [slot_uniform(self.sim.seed, i, period, slot)
              for i in range(self.scenario.topology.num_nodes)]
         self.x[:] = sample_decision(self.bar_map, u)
+        self._hit = self.x.astype(bool).tolist()
 
     def is_hit(self, node, item):
-        return bool(self.x[item, node])
+        return self._hit[item][node]
 
     def routing_weights(self, node, item):
         top = self.scenario.topology
@@ -339,10 +341,11 @@ class CostGreedyPolicy(SpRoutingMixin, SimPolicy):
         super().setup(scenario, sim)
         self._setup_routing(scenario)
         self.cached = np.zeros(scenario.demand.server_mask.shape, dtype=bool)
+        self._hit = self.cached.tolist()   # cached as lists, for is_hit
         self._last_miss = None
 
     def is_hit(self, node, item):
-        return bool(self.cached[item, node])
+        return self._hit[item][node]
 
     def on_update(self, period, measured_F, measured_arrivals):
         cur = self.sim.miss_cost_item.copy()
@@ -351,6 +354,7 @@ class CostGreedyPolicy(SpRoutingMixin, SimPolicy):
         pick = _costgreedy_pick(delta, self.cached, self.scenario.demand.server_mask)
         if pick is not None:
             self.cached[pick] = True
+            self._hit = self.cached.tolist()
         return 0
 
     def cache_occupancy(self):

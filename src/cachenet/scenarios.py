@@ -170,11 +170,15 @@ def generate_scenario(spec, seed):
     symmetrically; requests are |R| distinct (node, item) pairs with
     Zipf-weighted items; each item gets one uniformly random server.
     """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    R = int(spec.requests)
+    if R < 0:
+        raise ConfigurationError(f"requests must be non-negative, got {R}")
     rng = np.random.default_rng(seed)
     top, file_d, file_b = build_topology(spec, rng)
     n = top.num_nodes
     C = int(spec.catalog)
-    R = int(spec.requests)
     if R > n * C:
         raise ConfigurationError(
             f"cannot draw {R} distinct pairs from {n} nodes x {C} items"

@@ -80,36 +80,6 @@ def apportion_tokens(weights, n_tokens=N_TOKEN):
     return {j: c for j, c in counts.items() if c > 0}
 
 
-class TokenPool:
-    """Multiset of next-hop tokens, consumed per forwarded request.
-
-    The tokens are shuffled on the first draw after a refill and then
-    popped, so a refill's tokens come out in one random order.
-    """
-
-    __slots__ = ("tokens", "shuffled")
-
-    def __init__(self):
-        self.tokens = []
-        self.shuffled = True
-
-    def draw(self, rng):
-        toks = self.tokens
-        if not toks:
-            return None
-        if not self.shuffled:
-            rng.shuffle(toks)
-            self.shuffled = True
-        return toks.pop()
-
-    def refill(self, counts):
-        toks = []
-        for j in sorted(counts):
-            toks.extend([j] * counts[j])
-        self.tokens = toks
-        self.shuffled = len(counts) < 2   # one next hop: any order will do
-
-
 @dataclass
 class WindowRecord:
     period: int
@@ -165,8 +135,9 @@ class Simulator:
 
         top = scenario.topology
         C, V = scenario.demand.num_items, top.num_nodes
+        self.num_nodes = V
         self.d_weights = scenario.cost.link_deriv(np.zeros(top.num_links))
-        self.pools = {}
+        self.pools = {}   # item * V + node -> its unused next-hop tokens
         self.window_counts = np.zeros(top.num_links)
         self.period_counts = np.zeros(top.num_links)
         self.period_arrivals = np.zeros((C, V))
@@ -199,20 +170,26 @@ class Simulator:
     # -- forwarding ------------------------------------------------------
 
     def token_forward(self, node, item):
-        """Draw a next hop for (node, item), refilling the pool on demand."""
-        pool = self.pools.get((node, item))
-        if pool is None:
-            pool = TokenPool()
-            self.pools[(node, item)] = pool
-        hop = pool.draw(self.rng)
-        if hop is not None:
-            return hop
-        weights = self.policy.routing_weights(node, item)
-        counts = apportion_tokens(weights)
+        """Draw a next hop for (node, item), refilling its pool on demand.
+
+        A refill lists the tokens in next-hop order and shuffles them once
+        (when there are two or more next hops); draws pop from the end, so
+        a refill's tokens come out in one random order.
+        """
+        key = item * self.num_nodes + node
+        toks = self.pools.get(key)
+        if toks:
+            return toks.pop()
+        counts = apportion_tokens(self.policy.routing_weights(node, item))
         if not counts:
             return None
-        pool.refill(counts)
-        return pool.draw(self.rng)
+        toks = []
+        for j in sorted(counts):
+            toks.extend([j] * counts[j])
+        if len(counts) > 1:
+            self.rng.shuffle(toks)
+        self.pools[key] = toks
+        return toks.pop()
 
     def _failsafe_hop(self, node, item):
         options = self.policy.failsafe_neighbors(node, item)
@@ -294,7 +271,9 @@ class Simulator:
         on_response_pass = policy.on_response_pass
         token_forward = self.token_forward
         servers = dem.servers
-        edge_index = top.edge_index
+        link_to = [{} for _ in range(V)]   # link_to[node][nxt]: link nxt -> node
+        for (a, b), e in top.edge_index.items():
+            link_to[b][a] = e
         d = self.d_weights.tolist()
         lat = self.schedule.hop_latency
         trace = self.trace
@@ -303,19 +282,21 @@ class Simulator:
         defer = self._defer
 
         def walk(t0, k, node, seg_end):
+            srv = servers[k]
+            kV = k * V
             path = [node]
             hops = []            # the response link of each request hop
             h = 0
             stamp = t0
             while True:
                 if stamp < seg_end:
-                    visits.append(k * V + node)
-                elif not defer(stamp, _VISIT, k * V + node):
+                    visits.append(kV + node)
+                elif not defer(stamp, _VISIT, kV + node):
                     return
-                if is_hit(node, k) or node in servers[k]:
+                if is_hit(node, k) or node in srv:
                     on_hit(node, k)
                     if trace is not None:
-                        kind = "server" if node in servers[k] else "hit"
+                        kind = "server" if node in srv else "hit"
                         trace.write(f"{stamp:.6f} {kind} node={node} item={k}\n")
                     break
                 nxt = token_forward(node, k)
@@ -330,7 +311,7 @@ class Simulator:
                         return   # reported; dropped only if truly no neighbor
                 if trace is not None:
                     trace.write(f"{stamp:.6f} fwd node={node} item={k} to={nxt}\n")
-                hops.append(edge_index[(nxt, node)])
+                hops.append(link_to[node][nxt])
                 path.append(nxt)
                 node = nxt
                 h += 1
@@ -344,9 +325,9 @@ class Simulator:
                 cum += d[e]
                 if stamp < seg_end:
                     links.append(e)
-                    miss_at.append(k * V + node)
+                    miss_at.append(kV + node)
                     miss.append(cum)
-                elif not defer(stamp, _RESPONSE, e, k * V + node, cum):
+                elif not defer(stamp, _RESPONSE, e, kV + node, cum):
                     return
                 on_response_pass(node, k)
             self.responses_delivered += 1

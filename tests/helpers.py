@@ -20,7 +20,15 @@ from cachenet.network import (
     zero_costs,
 )
 from cachenet.scenarios import build_topology, zipf_weights
-from cachenet.sim import SimulationRun, Simulator
+from cachenet.policies import CostGreedyPolicy, RelaxedStrategyPolicy
+from cachenet.sim import (
+    _RESPONSE,
+    _UNROUTABLE,
+    _VISIT,
+    SimulationRun,
+    Simulator,
+    apportion_tokens,
+)
 
 
 def line_topology(n):
@@ -826,6 +834,125 @@ def reference_run_simulation(scenario, policy, schedule, seed,
     sim = ReferenceSimulator(scenario, policy, schedule, seed,
                              keep_flow_samples=keep_flow_samples)
     return sim.run()
+
+
+class ParentTokenPool:
+    """The flagged token pool the list-backed pools replace: a refill with
+    two or more next hops is shuffled on its first draw."""
+
+    __slots__ = ("tokens", "shuffled")
+
+    def __init__(self):
+        self.tokens = []
+        self.shuffled = True
+
+    def draw(self, rng):
+        toks = self.tokens
+        if not toks:
+            return None
+        if not self.shuffled:
+            rng.shuffle(toks)
+            self.shuffled = True
+        return toks.pop()
+
+    def refill(self, counts):
+        toks = []
+        for j in sorted(counts):
+            toks.extend([j] * counts[j])
+        self.tokens = toks
+        self.shuffled = len(counts) < 2
+
+
+def parent_is_hit(policy):
+    """``is_hit`` reading the policy's numpy cache decisions per call."""
+    if isinstance(policy, RelaxedStrategyPolicy):
+        return lambda node, item: bool(policy.x[item, node])
+    if isinstance(policy, CostGreedyPolicy):
+        return lambda node, item: bool(policy.cached[item, node])
+    return policy.is_hit
+
+
+class ParentWalkSimulator(Simulator):
+    """The request walk before its per-hop tables: ``ParentTokenPool``s
+    keyed by (node, item) tuples, each response link looked up as
+    ``edge_index[(nxt, node)]`` and cache hits read from the numpy
+    decisions.  Same rng calls, so it must reproduce ``Simulator`` bit for
+    bit."""
+
+    def token_forward(self, node, item):
+        pool = self.pools.get((node, item))
+        if pool is None:
+            pool = ParentTokenPool()
+            self.pools[(node, item)] = pool
+        hop = pool.draw(self.rng)
+        if hop is not None:
+            return hop
+        counts = apportion_tokens(self.policy.routing_weights(node, item))
+        if not counts:
+            return None
+        pool.refill(counts)
+        return pool.draw(self.rng)
+
+    def _walker(self):
+        top, dem = self.scenario.topology, self.scenario.demand
+        V = top.num_nodes
+        policy = self.policy
+        is_hit, on_hit = parent_is_hit(policy), policy.on_hit
+        on_response_pass = policy.on_response_pass
+        token_forward = self.token_forward
+        servers = dem.servers
+        edge_index = top.edge_index
+        d = self.d_weights.tolist()
+        lat = self.schedule.hop_latency
+        links, miss_at, miss = self.seg_links, self.seg_miss_at, self.seg_miss
+        visits = self.seg_visits
+        defer = self._defer
+
+        def walk(t0, k, node, seg_end):
+            path = [node]
+            hops = []
+            h = 0
+            stamp = t0
+            while True:
+                if stamp < seg_end:
+                    visits.append(k * V + node)
+                elif not defer(stamp, _VISIT, k * V + node):
+                    return
+                if is_hit(node, k) or node in servers[k]:
+                    on_hit(node, k)
+                    break
+                nxt = token_forward(node, k)
+                if nxt is None:
+                    self.unroutable_total += 1
+                    if stamp < seg_end:
+                        self.window_unroutable += 1
+                    else:
+                        defer(stamp, _UNROUTABLE)
+                    nxt = self._failsafe_hop(node, k)
+                    if nxt is None:
+                        return
+                hops.append(edge_index[(nxt, node)])
+                path.append(nxt)
+                node = nxt
+                h += 1
+                stamp = t0 + h * lat
+            cum = 0.0
+            for pos in range(len(hops) - 1, -1, -1):
+                h += 1
+                stamp = t0 + h * lat
+                e = hops[pos]
+                node = path[pos]
+                cum += d[e]
+                if stamp < seg_end:
+                    links.append(e)
+                    miss_at.append(k * V + node)
+                    miss.append(cum)
+                elif not defer(stamp, _RESPONSE, e, k * V + node, cum):
+                    return
+                on_response_pass(node, k)
+            self.responses_delivered += 1
+
+        return walk
 
 
 def reference_bar_intervals(y):

@@ -184,6 +184,7 @@ class TestErrors:
         ["--cache-price-range", "5"], ["--cache-price-range", "nan,5"],
         ["--zipf", "nan"], ["--zipf", "inf"], ["--cache-price", "nan"],
         ["--sweep-load", "1,x"],
+        ["--seed", "-1"], ["--requests", "-5"], ["--jobs", "0"], ["--jobs", "-2"],
     ])
     def test_malformed_numbers_are_reported(self, tmp_path, capsys, bad):
         # rejected while parsing the command line, as argparse exits

@@ -103,6 +103,14 @@ class TestGenerateScenario:
         with pytest.raises(ConfigurationError):
             generate_scenario(spec, seed=0)
 
+    def test_negative_seed_or_requests_rejected(self):
+        spec = ScenarioSpec("grid", (2, 2), catalog=2, requests=3)
+        with pytest.raises(ConfigurationError, match="seed"):
+            generate_scenario(spec, seed=-1)
+        spec.requests = -5
+        with pytest.raises(ConfigurationError, match="requests"):
+            generate_scenario(spec, seed=0)
+
     @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
     def test_same_scenarios_as_one_choice_call_per_draw(self, preset):
         # the item draw inverts the Zipf CDF as rng.choice(C, p=w) does,

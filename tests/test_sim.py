@@ -1,5 +1,6 @@
 """Packet-level simulator: forwarding, measurement, policies."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -18,6 +19,7 @@ from cachenet.policies import (
     EvictionPolicy,
     FrozenStrategyPolicy,
     MinCostDeploymentPolicy,
+    SimPolicy,
     UniformDeploymentPolicy,
     flow_costgreedy,
     make_policy,
@@ -25,7 +27,7 @@ from cachenet.policies import (
 )
 from cachenet.sim import (
     SimSchedule,
-    TokenPool,
+    Simulator,
     apportion_tokens,
     decision_flow_state,
     mc_measured_cost_model,
@@ -34,6 +36,7 @@ from cachenet.sim import (
 from cachenet.scenarios import TABLE_PRESETS, ScenarioSpec, generate_scenario
 
 from helpers import (
+    ParentWalkSimulator,
     line_topology,
     reference_costgreedy_pick,
     reference_run_simulation,
@@ -69,12 +72,21 @@ class TestTokens:
         assert counts[0] == 17 and counts[1] == 17 and counts[2] == 16
 
     def test_pool_consumed_exactly_once_per_refill(self):
-        pool = TokenPool()
-        pool.refill({1: 25, 2: 25})
-        rng = np.random.default_rng(0)
-        drawn = [pool.draw(rng) for _ in range(50)]
+        class EvenSplit(SimPolicy):
+            refills = 0
+
+            def routing_weights(self, node, item):
+                self.refills += 1
+                return [(1, 0.5), (2, 0.5)]
+
+        pol = EvenSplit()
+        sim = Simulator(line_scenario(), pol, SimSchedule(), seed=0)
+        drawn = [sim.token_forward(0, 0) for _ in range(50)]
         assert drawn.count(1) == 25 and drawn.count(2) == 25
-        assert pool.draw(rng) is None
+        assert pol.refills == 1 and sim.pools[0] == []
+        # the 51st draw finds the pool empty and refills it
+        assert sim.token_forward(0, 0) in (1, 2)
+        assert pol.refills == 2 and len(sim.pools[0]) == 49
 
 
 class TestSchedule:
@@ -597,3 +609,117 @@ class TestSimulatorLifetime:
                 gc.enable()
         assert run.policy is pol and pol.sim is None
         assert run.requests_issued > 0
+
+
+def _policy_state(pol):
+    """The decision state a policy ends a run with."""
+    state = {}
+    for name in ("x", "cached", "capacity"):
+        if hasattr(pol, name):
+            state[name] = getattr(pol, name)
+    if hasattr(pol, "strategy"):
+        state["phi"], state["y"] = pol.strategy.phi, pol.strategy.y
+    if hasattr(pol, "caches"):
+        state["caches"] = [dict(c.entries) for c in pol.caches]
+    return state
+
+
+def _assert_runs_identical(new, ref):
+    assert len(new.records) == len(ref.records) > 0
+    for a, b in zip(new.records, ref.records):
+        for f in dataclasses.fields(a):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(va, np.ndarray):
+                assert np.array_equal(va, vb), f.name
+            else:
+                assert va == vb or (va != va and vb != vb), f.name
+    for name in ("requests_issued", "responses_delivered", "in_flight",
+                 "unroutable_total"):
+        assert getattr(new, name) == getattr(ref, name), name
+    assert np.array_equal(new.miss_cost, ref.miss_cost)
+    assert np.array_equal(new.miss_cost_item, ref.miss_cost_item)
+    got, want = _policy_state(new.policy), _policy_state(ref.policy)
+    assert got.keys() == want.keys()
+    for key in got:
+        if key == "caches":
+            assert got[key] == want[key]
+        else:
+            assert np.array_equal(got[key], want[key]), key
+
+
+@pytest.fixture(scope="module")
+def preset_scenarios():
+    return {name: generate_scenario(TABLE_PRESETS[name], seed=2)
+            for name in ("grid-25", "fog", "full-tree")}
+
+
+class TestParentWalk:
+    """The walk with its per-hop tables (flat-keyed token lists, per-node
+    response links, list-backed cache hits) against the walk without them
+    (``helpers.ParentWalkSimulator``): the same rng calls in the same order,
+    so every output matches bit for bit."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("scen_name", ["grid-25", "fog", "full-tree"])
+    @pytest.mark.parametrize("policy", ["gp", "gcfw", "sp-lru", "sp-lfu",
+                                        "uniform", "mincost", "costgreedy"])
+    def test_outputs_match_parent_walk(self, preset_scenarios, policy,
+                                       scen_name, seed):
+        scen = preset_scenarios[scen_name]
+        sched = SimSchedule(t_slot=1.0, slots_per_period=3, periods=3,
+                            t_monitor=0.5, hop_latency=0.05)
+        runs = [
+            cls(scen, make_policy(policy, N=10), sched, seed,
+                keep_flow_samples=True).run()
+            for cls in (Simulator, ParentWalkSimulator)
+        ]
+        assert runs[0].requests_issued > 100
+        _assert_runs_identical(*runs)
+
+
+class TestHookCalls:
+    """The hooks a tracer counts: ``policy.is_hit`` once per request visit
+    and ``Simulator.token_forward`` once per forwarded hop."""
+
+    def test_one_is_hit_per_visit_and_one_draw_per_hop(self):
+        import io
+
+        class CountingHits(CountingPolicy):
+            lookups = 0
+            measured_rate = 0.0   # arrivals per time unit, summed over periods
+
+            def is_hit(self, node, item):
+                self.lookups += 1
+                return super().is_hit(node, item)
+
+            def on_update(self, period, measured_F, measured_arrivals):
+                self.measured_rate += measured_arrivals.sum()
+                return 0
+
+        class CountingDraws(Simulator):
+            draws = 0
+
+            def token_forward(self, node, item):
+                self.draws += 1
+                return super().token_forward(node, item)
+
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=2)
+        traj = run_gp(scen.topology, scen.demand, scen.cost,
+                      GPConfig(alpha=0.05, max_periods=50))
+        pol = CountingHits(traj.strategy)
+        # one slot per period: every visit is measured
+        sched = SimSchedule(t_slot=1.0, slots_per_period=1, periods=4,
+                            hop_latency=0.05)
+        trace = io.StringIO()
+        sim = CountingDraws(scen, pol, sched, seed=4, trace=trace)
+        run = sim.run()
+        # the last period's arrivals are never handed to on_update
+        visits = round(pol.measured_rate * sched.t_slot
+                       + sim.period_arrivals.sum())
+        kinds = [line.split()[1] for line in trace.getvalue().splitlines()]
+        assert run.unroutable_total == 0 and run.in_flight > 0
+        assert pol.lookups == visits
+        assert sim.draws == kinds.count("fwd") > 0
+        assert pol.lookups == sim.draws + kinds.count("hit") + kinds.count("server")
+        assert kinds.count("hit") > 0
+        assert sim.draws >= pol.response_passes > 0
