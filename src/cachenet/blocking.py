@@ -5,18 +5,19 @@ server (a fixed DAG per item), found by one Bellman-Ford relaxation over all
 items at once and kept for the instance, whose node order also gives the
 shortest-path next hops;
 dynamic sets come from a topological total order of the current
-positive-phi DAG, recomputed every period.
+positive-phi DAG, rebuilt in a period whose positive-phi links changed.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DisconnectedDemandError, LoopError
-from .flow import fold_out_links, pair_index
+from .flow import T_ZERO, fold_out_links, pair_index
 from .marginals import PHI_ACTIVE
 
 
@@ -33,6 +34,9 @@ class BlockedSets:
     # static sets: the instance's (unblocked mask, PairIndex), shared by
     # every call on it
     _kept: tuple = field(default=(None, None), repr=False, compare=False)
+    # dynamic sets: what they were built from (a ``Built``), for the next
+    # period's call
+    _built: object = field(default=None, repr=False, compare=False)
 
     def pair_index(self, topology):
         """The ``flow.PairIndex`` of the unblocked pairs.  The first call
@@ -201,48 +205,119 @@ def _check_reachability(topology, demand, mask):
         )
 
 
-def dynamic_blocked_sets(topology, demand, strategy):
+def _kahn_positions(topology, active, ahead=None):
+    """(items, nodes) position of each node in its item's total order.
+
+    Per item, the nodes with an active link are Kahn-sorted on the active
+    links: each step places, in every item at once, the lowest-id ready
+    node of the (items, nodes) bool mask ``ahead`` if there is one, else
+    the lowest-id ready node (a node is ready when its active in-links all
+    come from placed nodes).  The nodes without an active link follow in
+    id order.  Raises LoopError, naming the lowest such item, if some
+    active subgraph has a cycle.
+    """
+    C, V = active.shape[0], topology.num_nodes
+    W = V + 1   # node V of each item is virtual: always ready, never placed
+    src, dst = topology.src, topology.dst
+    k, e = np.nonzero(active)
+    incident = np.zeros((C, V), dtype=bool)
+    incident[k, src[e]] = incident[k, dst[e]] = True
+    # key[k, i] is twice the count of active in-links of i from unplaced
+    # nodes, plus 2 once i is placed or if it takes no part, plus 1 unless
+    # i is ahead; a node is ready iff its key is 0 or 1, and the virtual
+    # node's key is 1, so argmin takes the first ready node of ``ahead``,
+    # else the first ready node, else the virtual node
+    key = np.bincount(k * W + dst[e], minlength=C * W).reshape(C, W) * 2
+    key[:, :V] += 2 * ~incident + (1 if ahead is None else ~ahead)
+    key[:, V] = 1
+    # row k*W + i is what placing node i of item k takes off key: its
+    # active out-links, and -2 on i itself
+    adj = np.zeros((C, W, W), dtype=np.int8)
+    adj[:, np.arange(V), np.arange(V)] = -2
+    adj = adj.reshape(C * W, W)
+    adj[k * W + src[e], dst[e]] = 2
+    first = np.arange(C) * W
+    pos = np.full(C * W, -1)
+    n_incident = incident.sum(axis=1)
+    for step in range(int(n_incident.max(initial=0))):
+        placed = first + np.argmin(key, axis=1)
+        pos[placed] = step
+        key -= adj[placed]
+    pos = pos.reshape(C, W)[:, :V]
+    cyclic = (incident & (pos < 0)).any(axis=1)
+    if cyclic.any():
+        raise LoopError(f"loop in routing strategy for item {int(np.argmax(cyclic))}")
+    return np.where(incident, pos,
+                    np.cumsum(~incident, axis=1) - 1 + n_incident[:, None])
+
+
+def _ancestors(topology, active, nodes):
+    """``nodes`` (items, nodes) together with every node that reaches one of
+    them over active links of its item."""
+    k, e = np.nonzero(active)
+    src, dst = topology.src[e], topology.dst[e]
+    while True:
+        up = nodes[k, dst] & ~nodes[k, src]
+        if not up.any():
+            return nodes
+        nodes = nodes.copy()
+        nodes[k[up], src[up]] = True
+
+
+# What dynamic sets were built from: the active mask (phi > PHI_ACTIVE),
+# the mask of its plain order and that mask's ``flow.PairIndex`` (whose
+# n_out is the unblocked out-degree), and the (items, nodes) mask of the
+# stranded pairs the order was mended for.
+Built = namedtuple("Built", "active first index stranded")
+
+
+def dynamic_blocked_sets(topology, demand, strategy, t=None, previous=None):
     """Topological-order blocked sets from the current positive-phi DAG.
 
     Per item, nodes carrying positive phi are Kahn-sorted (lowest id first
     among ready nodes) and nodes with no positive-phi incidence are appended
     in id order; j is blocked for i iff j precedes i in that total order.
-    The sort runs on all items at once: each step places, in every item, the
-    lowest-id node whose active in-links all come from placed nodes.
     Raises LoopError, naming the lowest such item, if some positive-phi
     subgraph has a cycle.
+
+    Given the (items, nodes) arrival rates ``t``, the order is mended for
+    stranded pairs: a non-server pair with t <= T_ZERO and y > 0 that the
+    order leaves without an unblocked out-link, so that the step can never
+    move its cache.  Such an item is sorted again with its stranded nodes
+    and their positive-phi ancestors taken first among ready nodes.  That
+    is still a topological order of the active links, and each stranded
+    node with an active link now precedes every neighbour that is not one
+    of those nodes (one without keeps its place after them).
+
+    Given the sets of the last period as ``previous``, the order is reused
+    when the active mask is unchanged, and ``previous`` itself is returned
+    when the stranded pairs are unchanged too.  The mask is read-only.
     """
-    C, V = demand.num_items, topology.num_nodes
-    W = V + 1   # node V of each item is virtual: always ready, never placed
-    src, dst = topology.src, topology.dst
-    k, e = np.nonzero(strategy.phi > PHI_ACTIVE)
-    incident = np.zeros((C, V), dtype=bool)
-    incident[k, src[e]] = incident[k, dst[e]] = True
-    # blockers[k, i]: active in-links of i from unplaced nodes, plus 1 once
-    # i is placed or if i has no active link; a node is ready iff it is 0
-    blockers = np.bincount(k * W + dst[e], minlength=C * W).reshape(C, W)
-    blockers[:, :V] += ~incident
-    # row k*W + i is what placing node i of item k takes off blockers: its
-    # active out-links, and -1 on i itself
-    adj = np.zeros((C, W, W), dtype=np.int8)
-    adj[:, np.arange(V), np.arange(V)] = -1
-    adj = adj.reshape(C * W, W)
-    adj[k * W + src[e], dst[e]] = 1
-    first = np.arange(C) * W
-    pos = np.full(C * W, -1)
-    n_incident = incident.sum(axis=1)
-    for step in range(int(n_incident.max(initial=0))):
-        # argmin takes the first 0: the lowest-id ready node, or the
-        # virtual node when the item is done or stuck on a cycle
-        placed = first + np.argmin(blockers, axis=1)
-        pos[placed] = step
-        blockers -= adj[placed]
-    pos = pos.reshape(C, W)[:, :V]
-    cyclic = (incident & (pos < 0)).any(axis=1)
-    if cyclic.any():
-        raise LoopError(f"loop in routing strategy for item {int(np.argmax(cyclic))}")
-    # nodes without an active link follow in id order
-    pos = np.where(incident, pos, np.cumsum(~incident, axis=1) - 1 + n_incident[:, None])
-    # unblocked iff the destination comes later in the total order
-    mask = pos[:, dst] < pos[:, src]
-    return BlockedSets(mode="dynamic", mask=mask)
+    active = strategy.phi > PHI_ACTIVE
+    built = getattr(previous, "_built", None)
+    if built is not None and np.array_equal(built.active, active):
+        first, index = built.first, built.index
+    else:
+        built = None
+        pos = _kahn_positions(topology, active)
+        first = pos[:, topology.dst] < pos[:, topology.src]
+        first.flags.writeable = False
+        index = pair_index(topology, ~first)
+        for arr in index:
+            arr.flags.writeable = False
+    stranded = np.zeros(index.n_out.shape, dtype=bool)
+    if t is not None:
+        stranded = ((index.n_out == 0) & ~demand.server_mask & (t <= T_ZERO)
+                    & (strategy.y > 0))
+    if built is not None and np.array_equal(built.stranded, stranded):
+        return previous
+    mask, items = first, stranded.any(axis=1)
+    if items.any():
+        ahead = _ancestors(topology, active[items], stranded[items])
+        pos = _kahn_positions(topology, active[items], ahead)
+        mask = first.copy()
+        mask[items] = pos[:, topology.dst] < pos[:, topology.src]
+        mask.flags.writeable = False
+    return BlockedSets(mode="dynamic", mask=mask,
+                       _index=index if mask is first else None,
+                       _built=Built(active, first, index, stranded))

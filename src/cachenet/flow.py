@@ -152,10 +152,12 @@ def dag_levels(topology, active):
     rest = np.arange(pair.size)
     ready = indeg[src] == 0
     while ready.any():
-        placed = rest[ready]
+        # np.compress, not a bool index: with about half the mask true it
+        # costs a quarter as much
+        placed = np.compress(ready, rest)
         groups.append(placed)
         np.subtract.at(indeg, dst[placed], 1)
-        rest = rest[~ready]
+        rest = np.compress(~ready, rest)
         ready = indeg[src[rest]] == 0
     acyclic = np.ones(C, dtype=bool)
     if rest.size:
@@ -265,22 +267,26 @@ def solve_dense(topology, phi, rhs, transpose=False):
     return x
 
 
-def solve_traffic(topology, demand, strategy, cost):
+def solve_traffic(topology, demand, strategy, cost, previous=None):
     """Solve t = r + Phi^T t per item and populate flows and costs.
 
     The routing DAG (the links with phi != 0) is leveled once, here, for
     the whole period: items whose routing is acyclic are solved by one
     forward sweep over their levels, and the levels go out on the FlowState
-    for the reverse sweep of ``compute_marginals``.  Items with a routing
-    cycle fall back to the dense solve, so loopy strategies are supported
-    as long as the system is nonsingular.  A cycle whose routing-fraction
-    product reaches one makes the circulation divergent and raises
-    DivergentCirculationError.
+    for the reverse sweep of ``compute_marginals``; given the last period's
+    FlowState as ``previous``, its levels are kept when its routed mask
+    equals this one.  Items with a routing cycle fall back to the dense
+    solve, so loopy strategies are supported as long as the system is
+    nonsingular.  A cycle whose routing-fraction product reaches one makes
+    the circulation divergent and raises DivergentCirculationError.
     """
     phi = strategy.phi
     r = demand.rates
     routed = phi != 0
-    levels, acyclic = dag_levels(topology, routed)
+    if previous is not None and np.array_equal(previous.routed, routed):
+        levels, acyclic, routed = previous.levels, previous.acyclic, previous.routed
+    else:
+        levels, acyclic = dag_levels(topology, routed)
     t = sweep_forward(levels, phi.ravel()[levels.pair], r)
     cyclic = ~acyclic
     if cyclic.any():
@@ -289,9 +295,13 @@ def solve_traffic(topology, demand, strategy, cost):
     if (t < 0).any():
         raise DivergentCirculationError("traffic solve produced negative rates")
 
-    # f on link e=(i,j) carries responses i->j generated by requests j->i
-    f = t[:, topology.dst] * phi[:, topology.rev]
-    F = f.sum(axis=0)
+    # f on link e=(i,j) carries responses i->j generated by requests j->i;
+    # built link-major, so each link sums its items contiguously (as the
+    # strided column gather it replaces did, and several times faster)
+    fT = np.take(t.T, topology.dst, axis=0)
+    fT *= np.take(phi.T, topology.rev, axis=0)
+    F = fT.sum(axis=1)
+    f = fT.T
     Y = strategy.y.sum(axis=0)
     link_cost = float(cost.link_cost(F).sum())
     cache_cost = float(cost.cache_cost(Y).sum())

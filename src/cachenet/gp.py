@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import dynamic_blocked_sets, sp_next_links, static_blocked_sets
-from .errors import CacheNetError, ConfigurationError, require_finite_positive
+from .errors import (
+    CacheNetError,
+    ConfigurationError,
+    DivergentCirculationError,
+    require_finite_positive,
+)
 from .flow import T_ZERO, Strategy, solve_traffic
 from .marginals import PHI_ACTIVE, compute_marginals, vectorized_residuals
 
@@ -79,7 +84,7 @@ def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):
         e_cache = marg.delta_cache - marg.delta_min
     ties = tab.excess == 0.0
     cache_receives = busy & (e_cache == 0.0)
-    n = np.bincount(src[ties], minlength=C * V).reshape(C, V) + cache_receives
+    n = np.bincount(np.compress(ties, src), minlength=C * V).reshape(C, V) + cache_receives
     stuck = pairs & (n == 0)         # only where delta_min is inf or NaN
     if stuck.any():
         i, k = np.argwhere(stuck.T)[0]
@@ -213,14 +218,16 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
     Static blocked sets are fixed for the run and read off the instance's
     zero-flow order, which is built once per instance and shared with
     ``shortest_path_strategy`` and every later call on the instance.  Per
-    period: compute the dynamic blocked sets (dynamic mode only), level
-    each item's routing DAG once and solve traffic by a forward sweep over
-    it, get the marginals by a reverse sweep over the same levels (the
-    pairs at phi <= PHI_ACTIVE weighted 0), apply one ``gp_step`` to the
-    pairs the schedule selects (every pair with a positive residual, or all
-    items at one node), and record cost / residual / broadcast-message
-    counts.  A routing loop (an item whose positive-phi subgraph is not a
-    DAG) raises.
+    period: level each item's routing DAG once and solve traffic by a
+    forward sweep over it, compute the dynamic blocked sets from the
+    arrival rates (dynamic mode only), get the marginals by a reverse sweep
+    over the same levels (the pairs at phi <= PHI_ACTIVE weighted 0), apply
+    one ``gp_step`` to the pairs the schedule selects (every pair with a
+    positive residual, or all items at one node), and record cost /
+    residual / broadcast-message counts.  The levels and the dynamic sets
+    of the last period are kept when their inputs have not changed.  A
+    routing loop (an item whose positive-phi subgraph is not a DAG) raises,
+    as a LoopError in dynamic mode.
     """
     config = config or GPConfig()
     zero_b = cost.cache.deriv_is_zero()
@@ -247,12 +254,17 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
     records = []
     initial_cost = None
     converged = False
-    blocked = None
+    flow = blocked = None
     for period in range(config.max_periods):
+        try:
+            flow = solve_traffic(topology, demand, strategy, cost, previous=flow)
+        except DivergentCirculationError:
+            if static is None:   # name the loop, as the sets would have
+                dynamic_blocked_sets(topology, demand, strategy)
+            raise
         blocked = static if static is not None else dynamic_blocked_sets(
-            topology, demand, strategy
+            topology, demand, strategy, flow.t, previous=blocked
         )
-        flow = solve_traffic(topology, demand, strategy, cost)
         marg = compute_marginals(topology, demand, strategy, flow, cost, blocked)
         pair_resid, _, _ = vectorized_residuals(
             topology, demand, strategy, flow, marg, blocked

@@ -170,7 +170,8 @@ class GPOnlinePolicy(RelaxedStrategyPolicy):
         gp_step(top, dem, self.strategy, flow, marg, self.blocked, self.alpha,
                 every_pair)
         if self.blocked_mode == "dynamic":
-            self.blocked = dynamic_blocked_sets(top, dem, self.strategy)
+            self.blocked = dynamic_blocked_sets(top, dem, self.strategy,
+                                                previous=self.blocked)
         self._rebuild_bar_maps()
         return dem.num_items * top.num_links
 

@@ -164,13 +164,13 @@ def reference_dag_levels(topology, active):
     return levels, acyclic
 
 
-def topological_order(topology, active_out):
+def topological_order(topology, active_out, ahead=()):
     """Deterministic topological order of the positive-edge subgraph.
 
     active_out[i] yields the active out-neighbors of i.  Nodes touching at
-    least one active edge are Kahn-sorted (lowest id first among ready
-    nodes); nodes with no active incidence are appended in id order.
-    Returns None if the subgraph has a cycle.
+    least one active edge are Kahn-sorted (among ready nodes, those in
+    ``ahead`` first, then lowest id first); nodes with no active incidence
+    are appended in id order.  Returns None if the subgraph has a cycle.
     """
     n = topology.num_nodes
     indeg = [0] * n
@@ -179,25 +179,28 @@ def topological_order(topology, active_out):
         for j in active_out(i):
             indeg[j] += 1
             incident[i] = incident[j] = True
-    ready = [i for i in range(n) if incident[i] and indeg[i] == 0]
+    ready = [(i not in ahead, i) for i in range(n)
+             if incident[i] and indeg[i] == 0]
     heapq.heapify(ready)
     order = []
     while ready:
-        i = heapq.heappop(ready)
+        _, i = heapq.heappop(ready)
         order.append(i)
         for j in active_out(i):
             indeg[j] -= 1
             if indeg[j] == 0:
-                heapq.heappush(ready, j)
+                heapq.heappush(ready, (j not in ahead, j))
     if len(order) != sum(incident):
         return None  # cycle among incident nodes
     order.extend(i for i in range(n) if not incident[i])
     return order
 
 
-def reference_dynamic_blocked_sets(topology, demand, strategy):
+def reference_dynamic_blocked_sets(topology, demand, strategy, t=None):
     """Loop form of ``blocking.dynamic_blocked_sets``: one heap-based Kahn
-    sort per item."""
+    sort per item, and given ``t`` a second one for an item with stranded
+    nodes, taking them and their positive-phi ancestors first (found by a
+    search up the active links)."""
     C, V = demand.num_items, topology.num_nodes
     phi = strategy.phi
     mask = np.ones((C, topology.num_links), dtype=bool)
@@ -210,12 +213,32 @@ def reference_dynamic_blocked_sets(topology, demand, strategy):
                 if phi[k, e] > PHI_ACTIVE
             ]
 
+        def blocked_by(order):
+            pos = np.empty(V, dtype=np.intp)
+            pos[order] = np.arange(V)
+            return pos[topology.dst] < pos[topology.src]
+
         order = topological_order(topology, active_out)
         if order is None:
             raise LoopError(f"loop in routing strategy for item {k}")
-        pos = np.empty(V, dtype=np.intp)
-        pos[order] = np.arange(V)
-        mask[k] = pos[topology.dst] < pos[topology.src]
+        mask[k] = blocked_by(order)
+        if t is None:
+            continue
+        stranded = [
+            i for i in range(V)
+            if i not in demand.servers[k] and t[k, i] <= T_ZERO
+            and strategy.y[k, i] > 0
+            and all(mask[k, e] for e in topology.out_edges[i])
+        ]
+        if not stranded:
+            continue
+        ahead, stack = set(), list(stranded)
+        while stack:
+            j = stack.pop()
+            if j not in ahead:
+                ahead.add(j)
+                stack += [i for i in range(V) if j in active_out(i)]
+        mask[k] = blocked_by(topological_order(topology, active_out, ahead))
     return BlockedSets(mode="dynamic", mask=mask)
 
 

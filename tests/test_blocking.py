@@ -6,6 +6,7 @@ import pytest
 from cachenet.blocking import dynamic_blocked_sets, static_blocked_sets
 from cachenet.errors import DisconnectedDemandError, LoopError
 from cachenet.flow import Strategy, dag_levels
+from cachenet.marginals import PHI_ACTIVE
 from cachenet.gp import GPConfig, run_gp, shortest_path_strategy, sp_next_hops
 from cachenet.network import Demand, Topology
 from cachenet.scenarios import TABLE_PRESETS, generate_scenario
@@ -234,3 +235,79 @@ class TestDynamicSets:
         s = Strategy.from_dicts(top, 1, phi={(0, 1, 0): 0.5, (1, 0, 0): 0.5})
         with pytest.raises(LoopError):
             dynamic_blocked_sets(top, dem, s)
+
+
+def stranded_fixture():
+    """Server 0; links 1 - 0, 2 - 0, 2 - 1 and 3 - 2.  Node 1 sends its
+    requests to the server; the idle node 3 parks phi = 1 on node 2, which
+    caches all of item 0 (y = 1) but receives nothing.  The lowest-id order
+    (1, 0, 3, 2) puts node 2 after all of its neighbours."""
+    pairs = [(1, 0), (2, 0), (2, 1), (3, 2)]
+    top = Topology(4, sorted(pairs + [(j, i) for i, j in pairs]))
+    dem = Demand(1, [{0}], np.array([[0.0, 1.0, 0.0, 0.0]]))
+    cost = symmetric_costs(top, {frozenset(e): 1.0 for e in pairs}, [1.0] * 4)
+    s = Strategy.from_dicts(top, 1, phi={(1, 0, 0): 1.0, (3, 2, 0): 1.0},
+                            y={(2, 0): 1.0})
+    return top, dem, cost, s
+
+
+class TestStrandedNodes:
+    def test_stranded_node_goes_right_after_its_ancestors(self):
+        top, dem, cost, s = stranded_fixture()
+        t = np.array([[0.0, 1.0, 0.0, 0.0]])
+        plain = dynamic_blocked_sets(top, dem, s)
+        assert all(plain.is_blocked(top, 2, j, 0) for j in (0, 1, 3))
+        # re-sorted with {2, 3} ahead: 3, 2, 1, 0
+        b = dynamic_blocked_sets(top, dem, s, t)
+        assert not b.is_blocked(top, 2, 0, 0)
+        assert not b.is_blocked(top, 2, 1, 0)
+        assert not b.is_blocked(top, 3, 2, 0)
+        assert not b.is_blocked(top, 1, 0, 0)
+        # a cache that receives requests, or holds nothing, is not stranded
+        assert np.array_equal(dynamic_blocked_sets(top, dem, s, t + 1.0).mask,
+                              plain.mask)
+        s.y[0, 2] = 0.0
+        assert np.array_equal(dynamic_blocked_sets(top, dem, s, t).mask,
+                              plain.mask)
+
+    def test_run_gp_leaves_the_stranded_cache(self):
+        top, dem, cost, s = stranded_fixture()
+        traj = run_gp(top, dem, cost, GPConfig(alpha=0.1, blocked_mode="dynamic",
+                                               max_periods=50),
+                      initial_strategy=s)
+        assert traj.converged
+        assert traj.strategy.y[0, 2] == 0.0
+        assert all(r.loop_free for r in traj.records)
+
+
+class TestDynamicSetsReuse:
+    def test_previous_returned_iff_inputs_unchanged(self):
+        top, dem, cost, s = stranded_fixture()
+        t = np.array([[0.0, 1.0, 0.0, 0.0]])
+        b = dynamic_blocked_sets(top, dem, s, t)
+        assert not b.mask.flags.writeable
+        assert dynamic_blocked_sets(top, dem, s, t, previous=b) is b
+        # fractions that stay on one side of PHI_ACTIVE change nothing
+        s2 = s.copy()
+        s2.phi[0, top.edge_index[(1, 2)]] = PHI_ACTIVE
+        s2.phi[0, top.edge_index[(1, 0)]] = 0.5
+        assert dynamic_blocked_sets(top, dem, s2, t, previous=b) is b
+        # the stranded pairs change: the plain order is reused, not the sets
+        again = dynamic_blocked_sets(top, dem, s, None, previous=b)
+        assert again is not b
+        assert np.array_equal(again.mask, dynamic_blocked_sets(top, dem, s).mask)
+        assert again.pair_index(top) is not b.pair_index(top)
+        assert np.array_equal(
+            dynamic_blocked_sets(top, dem, s, t, previous=again).mask, b.mask)
+        # the active links change
+        s3 = s.copy()
+        s3.phi[0, top.edge_index[(3, 2)]] = 0.0
+        new = dynamic_blocked_sets(top, dem, s3, t, previous=b)
+        assert new is not b
+        assert np.array_equal(new.mask, dynamic_blocked_sets(top, dem, s3, t).mask)
+
+    def test_static_previous_is_not_reused(self):
+        top, dem, cost, s = stranded_fixture()
+        static = static_blocked_sets(top, dem, cost)
+        got = dynamic_blocked_sets(top, dem, s, previous=static)
+        assert np.array_equal(got.mask, dynamic_blocked_sets(top, dem, s).mask)

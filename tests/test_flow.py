@@ -202,6 +202,38 @@ class TestSolveTraffic:
             solve_traffic(top, dem, s, cost)
 
 
+    @pytest.mark.parametrize("preset", ["grid-25", "grid-100", "fog"])
+    def test_response_flows_match_column_gather(self, preset):
+        # the link-major product sums each link over its items in the order
+        # the (items, links) column gather did, so F is the same bit for bit
+        from cachenet.gp import GPConfig, run_gp
+        from cachenet.scenarios import TABLE_PRESETS, generate_scenario
+
+        scen = generate_scenario(TABLE_PRESETS[preset], 1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        s = run_gp(top, dem, cost, GPConfig(alpha=0.05, max_periods=20)).strategy
+        fs = solve_traffic(top, dem, s, cost)
+        f = fs.t[:, top.dst] * s.phi[:, top.rev]
+        assert fs.f.tobytes() == f.tobytes()
+        assert fs.F.tobytes() == f.sum(axis=0).tobytes()
+
+    def test_previous_levels_kept_iff_routed_mask_unchanged(self):
+        rng = np.random.default_rng(11)
+        top, dem, cost, s = random_loopfree_instance(rng, max_nodes=8)
+        first = solve_traffic(top, dem, s, cost)
+        s.phi *= 0.5   # the same links routed
+        kept = solve_traffic(top, dem, s, cost, previous=first)
+        assert kept.levels is first.levels and kept.routed is first.routed
+        fresh = solve_traffic(top, dem, s, cost)
+        assert kept.t.tobytes() == fresh.t.tobytes()
+        assert kept.total_cost == fresh.total_cost
+        e = int(np.flatnonzero(s.phi[0])[0])
+        s.phi[0, e] = 0.0
+        rebuilt = solve_traffic(top, dem, s, cost, previous=kept)
+        assert rebuilt.levels is not kept.levels
+        assert not rebuilt.routed[0, e]
+
+
 class TestTotalCost:
     def test_zero_everything(self):
         top, dem, cost = unit_chain()

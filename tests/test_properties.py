@@ -759,6 +759,73 @@ class TestDynamicSetsMatchLoop:
         assert raised > 20
 
 
+class TestStrandedResort:
+    """Given arrival rates, the dynamic sets re-sort every item with a
+    stranded pair (non-server, t = 0, y > 0, no unblocked out-link) with the
+    stranded nodes and their positive-phi ancestors first."""
+
+    def test_random_instances_match_loop(self):
+        rng = np.random.default_rng(1919)
+        mended = 0
+        for _ in range(120):
+            top, dem, _, strat = random_loopfree_instance(rng, max_nodes=9,
+                                                          max_items=4)
+            top, dem, strat = TestDynamicSetsMatchLoop._relabel(
+                rng, top, dem, strat)
+            strat.phi[rng.random(strat.phi.shape) < 0.5] = 0.0
+            strat.y[rng.random(strat.y.shape) < 0.3] = 0.0
+            t = np.where(rng.random(strat.y.shape) < 0.5, 0.0, 1.0)
+            plain = dynamic_blocked_sets(top, dem, strat).mask
+            got = dynamic_blocked_sets(top, dem, strat, t).mask
+            ref = reference_dynamic_blocked_sets(top, dem, strat, t).mask
+            assert np.array_equal(got, ref)
+            # still one total order per item that every active link follows
+            assert np.array_equal(got[:, top.rev], ~got)
+            assert not got[strat.phi > PHI_ACTIVE].any()
+            # a stranded node with a neighbour outside the nodes taken
+            # first keeps an unblocked out-link
+            n_out = fold_out_links(top.src, (~plain).astype(int), np.add,
+                                   np.zeros(t.shape, dtype=int))
+            stranded = ((n_out == 0) & ~dem.server_mask & (t <= T_ZERO)
+                        & (strat.y > 0))
+            active = strat.phi > PHI_ACTIVE
+            ahead = stranded.copy()
+            for _ in range(top.num_nodes):
+                for k, e in zip(*np.nonzero(active)):
+                    ahead[k, top.src[e]] |= ahead[k, top.dst[e]]
+            incident = np.zeros_like(ahead)
+            k, e = np.nonzero(active)
+            incident[k, top.src[e]] = incident[k, top.dst[e]] = True
+            for k, i in zip(*np.nonzero(stranded & incident)):
+                out = list(top.out_edges[i])
+                if not ahead[k, top.dst[out]].all():
+                    assert not got[k, out].all()
+                    mended += 1
+        assert mended > 20
+
+    @pytest.mark.parametrize("schedule", ["synchronous", "round-robin"])
+    @pytest.mark.parametrize("preset, seed", [("full-tree", 1), ("fog", 1)])
+    def test_runs_stay_loop_free(self, monkeypatch, schedule, preset, seed):
+        import cachenet.blocking
+
+        resorts = []
+        ancestors = cachenet.blocking._ancestors
+
+        def counted(*args):
+            resorts.append(1)
+            return ancestors(*args)
+
+        monkeypatch.setattr(cachenet.blocking, "_ancestors", counted)
+        scen = generate_scenario(TABLE_PRESETS[preset], seed)
+        traj = run_gp(scen.topology, scen.demand, scen.cost, GPConfig(
+            alpha=0.1, blocked_mode="dynamic", schedule=schedule,
+            max_periods=300, tol=1e-4))
+        assert all(r.loop_free for r in traj.records)
+        assert traj.final_cost <= traj.records[0].total_cost
+        if (preset, schedule) != ("fog", "round-robin"):
+            assert resorts
+
+
 class TestShortestPathsMatchLoop:
     """The all-items Bellman-Ford distances, the array next links and the
     round-wise hop counts give the heap Dijkstra's distances, a loop
