@@ -2,7 +2,7 @@
 
 Static sets come from per-item shortest distances to the nearest designated
 server (a fixed DAG per item), found by one Bellman-Ford relaxation over all
-items at once and kept for the instance, whose node order also gives the
+items at once and kept per instance, whose node order also gives the
 shortest-path next hops;
 dynamic sets come from a topological total order of the current
 positive-phi DAG, rebuilt in a period whose positive-phi links changed.
@@ -10,7 +10,7 @@ positive-phi DAG, rebuilt in a period whose positive-phi links changed.
 
 from __future__ import annotations
 
-import functools
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -104,9 +104,15 @@ def _server_hops(topology, server_mask, tight):
     return hops
 
 
-@functools.lru_cache(maxsize=1)
+# per live demand, (topology, link costs, their ``_zero_flow_order``); the
+# demand is held weakly, so a dropped instance takes its entry with it
+_ORDERS = weakref.WeakKeyDictionary()
+
+
 def _zero_flow_order(topology, demand, link_costs):
-    """(items, links) masks ``before`` and ``tight`` of link (i, j).
+    """(items, links) masks ``before`` and ``tight`` of link (i, j), and the
+    ``flow.PairIndex`` of ``before`` (the unblocked pairs of the static
+    sets).
 
     Nodes are ordered per item by (distance to a server, fewest hops among
     shortest-distance paths, id), with the zero-flow marginals D'(0) of
@@ -116,12 +122,15 @@ def _zero_flow_order(topology, demand, link_costs):
     distance, not both servers, so they are counted only for items with
     such a link.
 
-    The masks depend only on the topology, the demand and the link costs,
-    whose arrays are all read-only, so they are kept (read-only) for the
-    last instance, keyed on the identity of those three objects: the
-    static sets, the shortest-path start and its next hops share one
-    Bellman-Ford per instance.
+    All three depend only on the topology, the demand and the link costs,
+    whose arrays are all read-only, so they are kept (read-only) per live
+    demand with the identity of the other two: the static sets, the
+    shortest-path start and its next hops share one Bellman-Ford per
+    instance, also when calls alternate between instances.
     """
+    kept = _ORDERS.get(demand)
+    if kept is not None and kept[0] is topology and kept[1] is link_costs:
+        return kept[2]
     weights = link_costs.deriv(np.zeros(topology.num_links))
     dist = server_distances(topology, demand, weights)
     src, dst = topology.src, topology.dst
@@ -135,8 +144,11 @@ def _zero_flow_order(topology, demand, link_costs):
     h_src, h_dst = hops[:, src], hops[:, dst]
     before = (d_dst < d_src) | ((d_dst == d_src) & (
         (h_dst < h_src) | ((h_dst == h_src) & (dst < src))))
-    before.flags.writeable = tight.flags.writeable = False
-    return before, tight
+    index = pair_index(topology, before)
+    for arr in (before, tight, *index):
+        arr.flags.writeable = False
+    _ORDERS[demand] = (topology, link_costs, (before, tight, index))
+    return before, tight, index
 
 
 def static_blocked_sets(topology, demand, cost):
@@ -151,26 +163,19 @@ def static_blocked_sets(topology, demand, cost):
     path is no farther and one hop nearer.  Raises DisconnectedDemandError
     if some node cannot reach a server at all (or, as a guard, is left
     without an unblocked out-link), on every call.  The order is built once
-    per instance and kept, as is the index of the unblocked pairs that the
-    marginals read; each call returns a fresh mask that the caller may
-    write into.
+    per instance and kept with the index of its unblocked pairs, which the
+    marginals and the guard read; each call returns a fresh mask that the
+    caller may write into.
     """
-    before, _ = _zero_flow_order(topology, demand, cost.link)
-    mask = ~before
-    _check_reachability(topology, demand, mask)
-    return BlockedSets(mode="static", mask=mask,
-                       _kept=_unblocked_index(topology, demand, cost.link))
-
-
-@functools.lru_cache(maxsize=1)
-def _unblocked_index(topology, demand, link_costs):
-    """(unblocked mask, ``flow.PairIndex``) of the static sets, kept for
-    the last instance as ``_zero_flow_order`` is."""
-    before, _ = _zero_flow_order(topology, demand, link_costs)
-    index = pair_index(topology, before)
-    for arr in index:
-        arr.flags.writeable = False
-    return before, index
+    before, _, index = _zero_flow_order(topology, demand, cost.link)
+    dead = (index.n_out == 0) & ~demand.server_mask
+    if dead.any():
+        k = int(np.argmax(dead.any(axis=1)))
+        raise DisconnectedDemandError(
+            f"nodes {np.nonzero(dead[k])[0].tolist()} have no unblocked path "
+            f"to a server of item {k}"
+        )
+    return BlockedSets(mode="static", mask=~before, _kept=(before, index))
 
 
 def sp_next_links(topology, demand, cost):
@@ -181,28 +186,13 @@ def sp_next_links(topology, demand, cost):
     path is one, so every connected non-server node has it; each hop lowers
     the (distance, hops, id) key, so the next links form no cycle.
     """
-    before, tight = _zero_flow_order(topology, demand, cost.link)
+    before, tight, _ = _zero_flow_order(topology, demand, cost.link)
     E = topology.num_links
     cand = np.where(tight & before, np.arange(E), E)
     best = fold_out_links(topology.src, cand, np.minimum,
                           np.full(demand.server_mask.shape, E))
     best[demand.server_mask] = -1
     return best
-
-
-def _check_reachability(topology, demand, mask):
-    """Every node must reach a designated server inside the unblocked graph;
-    for a mask ordered by a per-node key, that is every non-server node
-    keeping an unblocked out-link."""
-    n_out = fold_out_links(topology.src, (~mask).astype(int), np.add,
-                           np.zeros(demand.server_mask.shape, dtype=int))
-    dead = (n_out == 0) & ~demand.server_mask
-    if dead.any():
-        k = int(np.argmax(dead.any(axis=1)))
-        raise DisconnectedDemandError(
-            f"nodes {np.nonzero(dead[k])[0].tolist()} have no unblocked path "
-            f"to a server of item {k}"
-        )
 
 
 def _kahn_positions(topology, active, ahead=None):

@@ -94,7 +94,7 @@ def build_parser():
                    help="path for --topology file")
     g.add_argument("--scenario-file", default="",
                    help="load a full scenario document instead of generating")
-    g.add_argument("--catalog", type=int, default=30)
+    g.add_argument("--catalog", type=positive_int, default=30)
     g.add_argument("--requests", type=non_negative_int, default=100)
     g.add_argument("--zipf", type=finite_float, default=1.0)
     g.add_argument("--rate-range", default="1,5", type=parse_range)
@@ -114,7 +114,7 @@ def build_parser():
     a.add_argument("--N", type=int, default=100, help="GCFW iteration count")
     a.add_argument("--periods", type=int, default=2000)
     a.add_argument("--tol", type=float, default=1e-4)
-    a.add_argument("--capacity", type=int, default=1,
+    a.add_argument("--capacity", type=non_negative_int, default=1,
                    help="cache capacity for sp-lru / sp-lfu")
     a.add_argument("--eviction", default="lru", choices=["lru", "lfu"],
                    help="content placement for uniform / mincost deployment")

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+import numbers
 
 
 class CacheNetError(Exception):
@@ -43,3 +44,12 @@ def require_finite_positive(value, name):
     never ends)."""
     if not (math.isfinite(value) and value > 0):
         raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+
+
+def require_count(value, what, least=1):
+    """Raise ConfigurationError, worded "``what`` >= ``least``", unless
+    ``value`` is an integer of at least ``least`` (bool and float rejected:
+    the loop it counts needs an int)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ConfigurationError(f"{what} >= {least}, got {value!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, IllRoutedError
+from .errors import IllRoutedError, require_count
 from .flow import Strategy, dag_levels, sweep_forward, sweep_reverse
 
 
@@ -186,8 +186,7 @@ def grad_gain(instance, y, flows=None):
 def require_iteration_count(N):
     """Raise ConfigurationError unless ``N`` is an integer of at least 2
     (bool and float rejected): GCFW's step eps = N^(-1/3) needs N > 1."""
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 2:
-        raise ConfigurationError(f"gcfw needs an integer N >= 2, got {N!r}")
+    require_count(N, "gcfw needs an integer N", 2)
 
 
 @dataclass

@@ -296,10 +296,11 @@ def solve_traffic(topology, demand, strategy, cost, previous=None):
         raise DivergentCirculationError("traffic solve produced negative rates")
 
     # f on link e=(i,j) carries responses i->j generated by requests j->i;
-    # built link-major, so each link sums its items contiguously (as the
-    # strided column gather it replaces did, and several times faster)
-    fT = np.take(t.T, topology.dst, axis=0)
-    fT *= np.take(phi.T, topology.rev, axis=0)
+    # built link-major, so each link sums its items contiguously.  Indexing
+    # the transposes gathers their rows in place, where np.take copies a
+    # non-contiguous input whole first (several times the cost on phi.T).
+    fT = t.T[topology.dst]
+    fT *= phi.T[topology.rev]
     F = fT.sum(axis=1)
     f = fT.T
     Y = strategy.y.sum(axis=0)

@@ -21,6 +21,7 @@ from .errors import (
     CacheNetError,
     ConfigurationError,
     DivergentCirculationError,
+    require_count,
     require_finite_positive,
 )
 from .flow import T_ZERO, Strategy, solve_traffic
@@ -49,8 +50,7 @@ class GPConfig:
 
     def __post_init__(self):
         require_finite_positive(self.alpha, "stepsize alpha")
-        if self.max_periods < 1:
-            raise ConfigurationError("max_periods must be at least 1")
+        require_count(self.max_periods, "max_periods must be an integer")
         require_finite_positive(self.tol, "convergence tolerance")
         if self.schedule not in ("synchronous", "round-robin", "random"):
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
@@ -247,7 +247,8 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
         if config.blocked_mode == "static"
         else None
     )
-    rng = np.random.default_rng(config.seed)
+    rng = (np.random.default_rng(config.seed) if config.schedule == "random"
+           else None)
     V = topology.num_nodes
     sync_messages = demand.num_items * topology.num_links
 

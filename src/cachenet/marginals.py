@@ -200,8 +200,8 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
     residual attributable to node i's item-k conditions, parts is a dict of
     the raw arrays used to itemize violations (route parts per entry of the
     direction table, ``r_block`` per ``held`` pair, cache parts per (item,
-    node)), and delta the minimum each pair's conditions are measured
-    against.
+    node; ``c_cap`` only with ``cache_caps``), and delta the minimum each
+    pair's conditions are measured against.
     ``cache_caps`` maps (i, k) to an upper bound on y_i(k) (evaluation
     fixtures): a pair at its cap excludes the cache from its minimum (delta
     is the least unblocked link marginal, and a capped pair without an
@@ -227,8 +227,10 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
     cond_p = conds.ravel()[tab.src]
     active = tab.phi > PHI_ACTIVE
 
-    r_act = np.where(active & cond_p, np.abs(gap), 0.0)
-    r_inact = np.where(~active & cond_p, np.maximum(0.0, -gap), 0.0)
+    # gap is >= 0 or NaN: a pair's minimum is delta_min or, capped, link_min,
+    # and no unblocked delta of its directions undercuts either, so an
+    # inactive direction never beats the minimum; a NaN gap goes into r_act
+    r_act = np.where((active | (gap != gap)) & cond_p, np.abs(gap), 0.0)
     held_phi = phi.ravel()[tab.held]
     r_block = np.where((held_phi > PHI_ACTIVE) & conds.ravel()[tab.held_src],
                        held_phi, 0.0)
@@ -245,17 +247,13 @@ def vectorized_residuals(topology, demand, strategy, flow, marg, blocked=None,
     c_t0 = np.where((y > 0) & t_zero & free, y, 0.0)
 
     pair = np.maximum(np.maximum(c_act, c_inact), c_t0)
-    if capped is None:
-        c_cap = np.zeros((C, V))
-    else:
-        c_cap = np.where(capped, np.maximum(0.0, cgap) / scale, 0.0)
-        np.maximum(pair, c_cap, out=pair)
-    np.maximum.at(pair.reshape(-1), tab.src, np.maximum(r_act, r_inact))
+    parts = {"r_act": r_act, "r_block": r_block, "c_act": c_act,
+             "c_inact": c_inact, "c_t0": c_t0}
+    if capped is not None:
+        parts["c_cap"] = np.where(capped, np.maximum(0.0, cgap) / scale, 0.0)
+        np.maximum(pair, parts["c_cap"], out=pair)
+    np.maximum.at(pair.reshape(-1), tab.src, r_act)
     np.maximum.at(pair.reshape(-1), tab.held_src, r_block)
-    parts = {
-        "r_act": r_act, "r_inact": r_inact, "r_block": r_block,
-        "c_act": c_act, "c_inact": c_inact, "c_t0": c_t0, "c_cap": c_cap,
-    }
     return pair, parts, delta
 
 

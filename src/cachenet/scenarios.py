@@ -142,25 +142,23 @@ def zipf_weights(catalog, exponent):
 
 
 def build_topology(spec, rng):
-    if spec.topology == "grid":
-        w, h = spec.size
-        n, links = grid_links(int(w), int(h))
-    elif spec.topology == "full-tree":
-        arity, depth = spec.size
-        n, links = full_tree_links(int(arity), int(depth))
-    elif spec.topology == "fog":
-        arity, depth = spec.size
-        n, links = fog_links(int(arity), int(depth))
-    elif spec.topology == "er":
-        n, links = connected_er_links(int(spec.size[0]), spec.er_p, rng)
-    elif spec.topology == "small-world":
-        n, links = small_world_links(int(spec.size[0]), rng)
-    elif spec.topology == "file":
-        top, d, b = load_topology_file(spec.path)
-        return top, d, b
-    else:
+    """(Topology, link d, cache b) of ``spec``; d and b are None unless the
+    topology comes from a file."""
+    if spec.topology == "file":
+        return load_topology_file(spec.path)
+    # each generated family: the number of size values it takes, its builder
+    families = {
+        "grid": (2, grid_links), "full-tree": (2, full_tree_links),
+        "fog": (2, fog_links), "small-world": (1, lambda n: small_world_links(n, rng)),
+        "er": (1, lambda n: connected_er_links(n, spec.er_p, rng)),
+    }
+    if spec.topology not in families:
         raise ConfigurationError(f"unknown topology kind {spec.topology!r}")
-    return Topology(n, links), None, None
+    length, build = families[spec.topology]
+    if len(spec.size) != length or min(spec.size, default=0) < 1:
+        raise ConfigurationError(f"{spec.topology} takes a size of length {length}, "
+                                 f"each value at least 1, got {tuple(spec.size)}")
+    return Topology(*build(*(int(x) for x in spec.size))), None, None
 
 
 def generate_scenario(spec, seed):
@@ -172,13 +170,14 @@ def generate_scenario(spec, seed):
     """
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    R = int(spec.requests)
+    R, C = int(spec.requests), int(spec.catalog)
     if R < 0:
         raise ConfigurationError(f"requests must be non-negative, got {R}")
+    if C < 1:
+        raise ConfigurationError(f"catalog must hold at least one item, got {C}")
     rng = np.random.default_rng(seed)
     top, file_d, file_b = build_topology(spec, rng)
     n = top.num_nodes
-    C = int(spec.catalog)
     if R > n * C:
         raise ConfigurationError(
             f"cannot draw {R} distinct pairs from {n} nodes x {C} items"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, require_finite_positive
+from .errors import require_count, require_finite_positive
 
 N_TOKEN = 50
 FOLD_EVERY = 512   # arrivals walked between two folds of the per-hop lists
@@ -48,10 +48,8 @@ class SimSchedule:
     hop_latency: float = 0.01
 
     def __post_init__(self):
-        if self.periods < 1:
-            raise ConfigurationError("need at least one period")
-        if self.slots_per_period < 1:
-            raise ConfigurationError("need at least one slot per period")
+        require_count(self.periods, "periods must be an integer")
+        require_count(self.slots_per_period, "slots_per_period must be an integer")
         if self.t_monitor is None:
             self.t_monitor = self.t_slot
         for name in ("t_slot", "t_monitor", "hop_latency"):

@@ -1,5 +1,8 @@
 """Static and dynamic blocked-set construction."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -165,7 +168,7 @@ class TestZeroFlowMemo:
             assert np.array_equal(
                 static_blocked_sets(top, demand, cost).mask,
                 reference_static_blocked_sets(top, demand, cost).mask)
-        assert calls == [dem, other, dem]
+        assert calls == [dem, other]   # each demand keeps its own order
         assert not np.array_equal(static_blocked_sets(top, dem, cost).mask,
                                   static_blocked_sets(top, other, cost).mask)
 
@@ -179,6 +182,64 @@ class TestZeroFlowMemo:
                      shortest_path_strategy, sp_next_hops, static_blocked_sets):
             with pytest.raises(DisconnectedDemandError):
                 call(top, dem, cost)
+
+    def test_disconnected_item_named_on_every_call(self):
+        # item 0 has a server in each component, item 1 only in the other
+        # one; every call names item 1
+        top = Topology(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        dem = Demand(2, [{1, 3}, {3}], np.array([[1.0, 0.0, 0.0, 0.0],
+                                              [1.0, 0.0, 0.0, 0.0]]))
+        cost = symmetric_costs(
+            top, {frozenset((0, 1)): 1.0, frozenset((2, 3)): 1.0}, [1.0] * 4
+        )
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DisconnectedDemandError, match="item 1") as exc:
+                static_blocked_sets(top, dem, cost)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_dead_end_guard_raises_on_every_call(self, monkeypatch):
+        # with every distance 0 and no tight link, node 0 of item 1 (server
+        # 3, line 0 - 1 - 2 - 3) precedes all its neighbours in the order
+        # and keeps no unblocked out-link; the kept order raises again
+        import cachenet.blocking
+
+        monkeypatch.setattr(cachenet.blocking, "server_distances",
+                            lambda top, dem, w: np.zeros(dem.server_mask.shape))
+        top = line_topology(4)
+        dem = Demand(2, [{0}, {3}], np.array([[0.0, 1.0, 1.0, 1.0],
+                                              [1.0, 1.0, 1.0, 0.0]]))
+        cost = symmetric_costs(
+            top, {frozenset((i, i + 1)): 1.0 for i in range(3)}, [1.0] * 4)
+        for _ in range(2):
+            with pytest.raises(DisconnectedDemandError,
+                               match=r"nodes \[0\] have no unblocked path "
+                                     r"to a server of item 1"):
+                static_blocked_sets(top, dem, cost)
+
+    def test_alternating_instances_keep_their_orders(self, monkeypatch):
+        # a run that builds another instance between GP calls (as the
+        # benchmark's set-up does) takes no second Bellman-Ford on either
+        calls = self._count_distances(monkeypatch)
+        scens = [generate_scenario(TABLE_PRESETS["grid-25"], seed)
+                 for seed in (5, 6)]
+        strategies = [None, None]
+        for _ in range(3):
+            for n, scen in enumerate(scens):
+                strategies[n] = run_gp(
+                    scen.topology, scen.demand, scen.cost,
+                    GPConfig(alpha=0.05, max_periods=2, tol=1e-12),
+                    initial_strategy=strategies[n]).strategy
+        assert calls == [scens[0].demand, scens[1].demand]
+
+    def test_dropped_instance_is_not_kept_alive(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=7)
+        run_gp(scen.topology, scen.demand, scen.cost, GPConfig(max_periods=2))
+        demand = weakref.ref(scen.demand)
+        del scen
+        gc.collect()
+        assert demand() is None
 
 
 class TestDynamicSets:

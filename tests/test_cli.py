@@ -199,6 +199,25 @@ class TestErrors:
         assert f"error: argument {bad[0]}" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("bad", [
+        ["--size", "5"], ["--topology", "full-tree", "--size", "3"],
+        ["--topology", "er", "--size", "3x3"], ["--topology", "er", "--size", "0"],
+        ["--catalog", "0", "--requests", "0"],
+        ["--catalog", "-2", "--requests", "0"], ["--capacity", "-1"],
+    ])
+    def test_bad_scenario_shape_is_reported(self, tmp_path, capsys, bad):
+        # a size of the wrong length for its family, an empty catalog and a
+        # negative capacity end in one error line, not a traceback
+        try:
+            rc = main([*bad, "--periods", "3", "--out", str(tmp_path / "b")])
+        except SystemExit as exc:   # rejected while parsing the command line
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("bad", ["nan", "-0.1", "0", "1.5"])
     def test_er_probability_outside_unit_interval_is_reported(self, tmp_path,
                                                               capsys, bad):

@@ -161,6 +161,14 @@ class TestRunGp:
         with pytest.raises(ConfigurationError):
             GPConfig(max_periods=0)
 
+    @pytest.mark.parametrize("bad", [3.0, 1.5, True, "3", None])
+    def test_non_integer_period_count_rejected(self, bad):
+        # a float or bool count passed the old `< 1` check and raised a
+        # TypeError inside the loop
+        with pytest.raises(ConfigurationError, match="max_periods must be an integer"):
+            GPConfig(max_periods=bad)
+        assert GPConfig(max_periods=np.int64(3)).max_periods == 3
+
     @pytest.mark.parametrize("bad", [
         {"alpha": float("nan")}, {"alpha": float("inf")}, {"alpha": -1.0},
         {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
@@ -444,6 +452,20 @@ class TestPeriodKernel:
             assert len(traj.records) == 3
             strategy = traj.strategy
         assert traj.final_cost == 2218.230513040058
+
+    def test_small_world_three_period_calls_pinned(self):
+        # as the grid-100 pin, on small-world: nodes with several out-links
+        # and the widest response-flow gather
+        scen = generate_scenario(TABLE_PRESETS["small-world"], 1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        strategy = shortest_path_strategy(top, dem, cost)
+        cfg = GPConfig(alpha=0.01, blocked_mode="static", tol=1e-4,
+                       max_periods=3)
+        for _ in range(30):
+            traj = run_gp(top, dem, cost, cfg, initial_strategy=strategy)
+            assert len(traj.records) == 3
+            strategy = traj.strategy
+        assert traj.final_cost == 633.7248228581705
 
 
 def zero_weight_tie_fixture():

@@ -329,6 +329,69 @@ class TestReverseScatter:
         assert swept > 180
 
 
+class TestResponseFlowsMatchTakeForm:
+    """solve_traffic's response flows equal the link-major product built
+    with np.take (each link summed over its items in numpy's pairwise
+    order) byte for byte, with item counts on both sides of the pairwise
+    blocks."""
+
+    @staticmethod
+    def _check(top, dem, cost, strat):
+        flow = solve_traffic(top, dem, strat, cost)
+        fT = np.take(flow.t.T, top.dst, axis=0)
+        fT *= np.take(strat.phi.T, top.rev, axis=0)
+        assert flow.f.tobytes() == fT.T.tobytes()
+        assert flow.F.tobytes() == fT.sum(axis=1).tobytes()
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(2020)
+        for max_items in (3, 20, 300):
+            for _ in range(15):
+                self._check(*random_loopfree_instance(
+                    rng, max_nodes=8, max_items=max_items))
+
+    @pytest.mark.parametrize("preset", ["grid-100", "small-world"])
+    def test_mid_run_presets(self, preset):
+        scen = generate_scenario(TABLE_PRESETS[preset], seed=2)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        strat = run_gp(top, dem, cost, GPConfig(
+            alpha=0.01, max_periods=12, tol=1e-12)).strategy
+        self._check(top, dem, cost, strat)
+
+
+class TestExcessNonNegative:
+    """Each direction's excess (delta less the least delta of its source,
+    the cache included) is >= 0 or NaN, which is why the residuals need no
+    pass for inactive directions beating the minimum (with cache caps a
+    capped pair's minimum is the least of these deltas, so the same holds;
+    the capped residuals are checked against the loop form below)."""
+
+    @staticmethod
+    def _check(top, dem, cost, strat, blocked):
+        flow = solve_traffic(top, dem, strat, cost)
+        marg = compute_marginals(top, dem, strat, flow, cost, blocked)
+        excess = marg.table.excess
+        assert ((excess >= 0.0) | np.isnan(excess)).all()
+        return marg
+
+    def test_random_instances_and_sets(self):
+        rng = np.random.default_rng(3030)
+        for _ in range(60):
+            top, dem, cost, strat = random_loopfree_instance(
+                rng, max_nodes=8, interior=bool(rng.random() < 0.5))
+            blocked = BlockedSets("static", rng.random(strat.phi.shape) < 0.4)
+            for sets in (None, blocked, dynamic_blocked_sets(top, dem, strat)):
+                self._check(top, dem, cost, strat, sets)
+
+    def test_mid_run_small_world(self):
+        scen = generate_scenario(TABLE_PRESETS["small-world"], seed=1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        traj = run_gp(top, dem, cost, GPConfig(
+            alpha=0.01, max_periods=12, tol=1e-12))
+        marg = self._check(top, dem, cost, traj.strategy, traj.blocked)
+        assert (marg.table.excess > 0.0).any() and (marg.table.excess == 0.0).any()
+
+
 class TestLevelReuse:
     """The reverse sweep over the traffic solve's levels as built (pairs at
     phi <= PHI_ACTIVE weighted 0) gives the marginals of a fresh

@@ -111,6 +111,22 @@ class TestGenerateScenario:
         with pytest.raises(ConfigurationError, match="requests"):
             generate_scenario(spec, seed=0)
 
+    @pytest.mark.parametrize("topology, size", [
+        ("grid", (5,)), ("grid", (2, 2, 2)), ("full-tree", (3,)),
+        ("fog", (3,)), ("er", (3, 3)), ("small-world", (20, 2)),
+        ("er", ()), ("er", (0,)), ("grid", (0, 5)), ("full-tree", (2, 0)),
+    ])
+    def test_size_of_wrong_length_or_below_one_rejected(self, topology, size):
+        spec = ScenarioSpec(topology, size, catalog=2, requests=0)
+        with pytest.raises(ConfigurationError, match="size of length"):
+            generate_scenario(spec, seed=1)
+
+    @pytest.mark.parametrize("catalog", [0, -2])
+    def test_empty_catalog_rejected(self, catalog):
+        spec = ScenarioSpec("grid", (3, 3), catalog=catalog, requests=0)
+        with pytest.raises(ConfigurationError, match="catalog"):
+            generate_scenario(spec, seed=1)
+
     @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
     def test_same_scenarios_as_one_choice_call_per_draw(self, preset):
         # the item draw inverts the Zipf CDF as rng.choice(C, p=w) does,

@@ -90,6 +90,13 @@ class TestTokens:
 
 
 class TestSchedule:
+    @pytest.mark.parametrize("field", ["periods", "slots_per_period"])
+    @pytest.mark.parametrize("bad", [2.0, 1.5, True, 0, -1, "2"])
+    def test_non_integer_or_non_positive_count_rejected(self, field, bad):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            SimSchedule(**{field: bad})
+        assert getattr(SimSchedule(**{field: np.int64(2)}), field) == 2
+
     @pytest.mark.parametrize("field", ["t_slot", "t_monitor", "hop_latency"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_non_finite_or_non_positive_interval_rejected(self, field, bad):
