@@ -10,6 +10,7 @@ positive-phi DAG, rebuilt in a period whose positive-phi links changed.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DisconnectedDemandError, LoopError
-from .flow import T_ZERO, fold_out_links, pair_index
+from .flow import T_ZERO, dag_levels, fold_out_links, pair_index
 from .marginals import PHI_ACTIVE
 
 
@@ -31,9 +32,8 @@ class BlockedSets:
     mode: str                 # "static" | "dynamic"
     mask: np.ndarray          # bool, (num_items, num_links)
     _index: object = field(default=None, repr=False, compare=False)
-    # static sets: the instance's (unblocked mask, PairIndex), shared by
-    # every call on it
-    _kept: tuple = field(default=(None, None), repr=False, compare=False)
+    # static sets: the instance's ``Order``, shared by every call on it
+    _kept: object = field(default=None, repr=False, compare=False)
     # dynamic sets: what they were built from (a ``Built``), for the next
     # period's call
     _built: object = field(default=None, repr=False, compare=False)
@@ -44,15 +44,18 @@ class BlockedSets:
         it, or takes the instance's if the mask still equals its own."""
         if self._index is None:
             self.mask.flags.writeable = False
-            unblocked, index = self._kept
-            if unblocked is None or not np.array_equal(unblocked, ~self.mask):
-                index = pair_index(topology, ~self.mask)
-            self._index = index
+            if self._kept is not None and np.array_equal(self._kept.before, ~self.mask):
+                self._index = self._kept.index
+            else:
+                self._kept = None
+                self._index = pair_index(topology, ~self.mask)
         return self._index
 
-    def is_blocked(self, topology, i, j, k):
-        e = topology.edge_index.get((i, j))
-        return True if e is None else bool(self.mask[k, e])
+    def layout(self, topology):
+        """(``flow.Levels``, unblocked mask) of the instance's static sets,
+        the layout built on first use; None for any other sets."""
+        self.pair_index(topology)
+        return None if self._kept is None else (self._kept.layout, self._kept.before)
 
 
 def server_distances(topology, demand, weights):
@@ -104,15 +107,28 @@ def _server_hops(topology, server_mask, tight):
     return hops
 
 
-# per live demand, (topology, link costs, their ``_zero_flow_order``); the
-# demand is held weakly, so a dropped instance takes its entry with it
+class Order:
+    """One instance's zero-flow order (``_zero_flow_order``), and the
+    ``flow.Levels`` of its unblocked DAG ``before``, built on first use."""
+
+    def __init__(self, topology, link_costs, before, tight, index):
+        self.topology, self.link_costs = topology, link_costs
+        self.before, self.tight, self.index = before, tight, index
+
+    @functools.cached_property
+    def layout(self):
+        return dag_levels(self.topology, self.before)[0]
+
+
+# per live demand, the ``Order`` of its topology and link costs; the demand
+# is held weakly, so a dropped instance takes its entry with it
 _ORDERS = weakref.WeakKeyDictionary()
 
 
 def _zero_flow_order(topology, demand, link_costs):
-    """(items, links) masks ``before`` and ``tight`` of link (i, j), and the
-    ``flow.PairIndex`` of ``before`` (the unblocked pairs of the static
-    sets).
+    """The ``Order`` of the (items, links) masks ``before`` and ``tight`` of
+    link (i, j), and the ``flow.PairIndex`` of ``before`` (the unblocked
+    pairs of the static sets).
 
     Nodes are ordered per item by (distance to a server, fewest hops among
     shortest-distance paths, id), with the zero-flow marginals D'(0) of
@@ -122,15 +138,15 @@ def _zero_flow_order(topology, demand, link_costs):
     distance, not both servers, so they are counted only for items with
     such a link.
 
-    All three depend only on the topology, the demand and the link costs,
-    whose arrays are all read-only, so they are kept (read-only) per live
+    All of it depends only on the topology, the demand and the link costs,
+    whose arrays are all read-only, so it is kept (read-only) per live
     demand with the identity of the other two: the static sets, the
     shortest-path start and its next hops share one Bellman-Ford per
     instance, also when calls alternate between instances.
     """
     kept = _ORDERS.get(demand)
-    if kept is not None and kept[0] is topology and kept[1] is link_costs:
-        return kept[2]
+    if kept is not None and kept.topology is topology and kept.link_costs is link_costs:
+        return kept
     weights = link_costs.deriv(np.zeros(topology.num_links))
     dist = server_distances(topology, demand, weights)
     src, dst = topology.src, topology.dst
@@ -147,8 +163,8 @@ def _zero_flow_order(topology, demand, link_costs):
     index = pair_index(topology, before)
     for arr in (before, tight, *index):
         arr.flags.writeable = False
-    _ORDERS[demand] = (topology, link_costs, (before, tight, index))
-    return before, tight, index
+    _ORDERS[demand] = Order(topology, link_costs, before, tight, index)
+    return _ORDERS[demand]
 
 
 def static_blocked_sets(topology, demand, cost):
@@ -164,18 +180,19 @@ def static_blocked_sets(topology, demand, cost):
     if some node cannot reach a server at all (or, as a guard, is left
     without an unblocked out-link), on every call.  The order is built once
     per instance and kept with the index of its unblocked pairs, which the
-    marginals and the guard read; each call returns a fresh mask that the
-    caller may write into.
+    marginals and the guard read, and the layout of their DAG, which the
+    sweeps read; each call returns a fresh mask that the caller may write
+    into.
     """
-    before, _, index = _zero_flow_order(topology, demand, cost.link)
-    dead = (index.n_out == 0) & ~demand.server_mask
+    order = _zero_flow_order(topology, demand, cost.link)
+    dead = (order.index.n_out == 0) & ~demand.server_mask
     if dead.any():
         k = int(np.argmax(dead.any(axis=1)))
         raise DisconnectedDemandError(
             f"nodes {np.nonzero(dead[k])[0].tolist()} have no unblocked path "
             f"to a server of item {k}"
         )
-    return BlockedSets(mode="static", mask=~before, _kept=(before, index))
+    return BlockedSets(mode="static", mask=~order.before, _kept=order)
 
 
 def sp_next_links(topology, demand, cost):
@@ -186,9 +203,9 @@ def sp_next_links(topology, demand, cost):
     path is one, so every connected non-server node has it; each hop lowers
     the (distance, hops, id) key, so the next links form no cycle.
     """
-    before, tight, _ = _zero_flow_order(topology, demand, cost.link)
+    order = _zero_flow_order(topology, demand, cost.link)
     E = topology.num_links
-    cand = np.where(tight & before, np.arange(E), E)
+    cand = np.where(order.tight & order.before, np.arange(E), E)
     best = fold_out_links(topology.src, cand, np.minimum,
                           np.full(demand.server_mask.shape, E))
     best[demand.server_mask] = -1

@@ -72,7 +72,7 @@ class FixedRoutingInstance:
         self._t_dst = np.empty((top.num_links, C))
         self._phi_rev = np.empty((top.num_links, C))
         self._servers = dem.server_mask
-        reached = sweep_forward(self._levels, np.ones(self._levels.pair.size),
+        reached = sweep_forward(self._levels, np.ones(self._levels.in_pair.size),
                                 dem.rates) > 0
         stranded = reached & ~forwards & ~self._servers
         if stranded.any():
@@ -91,9 +91,9 @@ class FixedRoutingInstance:
         """
         top, levels = self.topology, self._levels
         y = np.asarray(y, dtype=float)
-        w = 1.0 - y.ravel()[levels.src]
+        w = 1.0 - y.ravel()[levels.in_src]
         phi = self._phi_buf
-        phi.ravel()[levels.pair] = w
+        phi.ravel()[levels.in_pair] = w
         t = sweep_forward(levels, w, self.demand.rates)
         # responses to requests over (i, j) return on link (j, i)
         prod = np.take(t.T, top.dst, axis=0, out=self._t_dst, mode="clip")

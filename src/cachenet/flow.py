@@ -101,11 +101,12 @@ class FlowState:
     Y[i]     : cache occupancy sum_k y[k, i]
 
     ``solve_traffic`` also keeps the DAG layout its forward sweep ran on:
-    ``levels`` (a ``Levels``) and ``acyclic`` as returned by ``dag_levels``
-    for the (item, link) mask ``routed`` (phi != 0).  ``compute_marginals``
-    sweeps that layout in reverse as it is, the pairs at phi <= PHI_ACTIVE
-    weighted 0; a FlowState built by hand (e.g. from measured flows) leaves
-    them None and the marginals level the DAG anew.
+    ``levels`` (a ``Levels``) and ``acyclic`` as returned by ``dag_layout``
+    for the (item, link) mask ``routed`` (phi != 0), a layout of that DAG
+    or of one holding it.  ``compute_marginals`` sweeps that layout in
+    reverse as it is, the pairs at phi <= PHI_ACTIVE weighted 0; a
+    FlowState built by hand (e.g. from measured flows) leaves them None and
+    the marginals lay the DAG out anew.
     """
 
     t: np.ndarray
@@ -120,11 +121,14 @@ class FlowState:
     routed: np.ndarray = None
 
 
-# The layout of a routing DAG that every sweep walks: per (item, link) pair
-# in level order, its link, flat (item, link) index and the flat indices of
-# its ends into a ``shape`` (items, nodes) array; one slice per level; and
-# whether each (item, node) is the source of at most one pair.
-Levels = namedtuple("Levels", "link pair src dst slices one_out shape")
+# The layout of a routing DAG, its (item, link) pairs in two groupings.  By
+# source level, for the reverse sweep: per pair its link, flat (item, link)
+# index and the flat indices of its ends into a ``shape`` (items, nodes)
+# array, one slice per level, and whether each (item, node) is the source
+# of at most one pair.  By head level, for the forward sweep: the ``in_``
+# arrays and slices, in flat (item, link) order inside a level.
+Levels = namedtuple("Levels", "link pair src dst slices one_out shape "
+                              "in_pair in_src in_dst in_slices")
 
 
 def dag_levels(topology, active):
@@ -133,7 +137,9 @@ def dag_levels(topology, active):
     ``active`` is a (num_items, num_links) bool mask.  Kahn's algorithm runs
     on all items at once: level L holds the active links leaving the nodes
     whose active in-links all lie in levels < L, so a node's out-links share
-    one level and keep ascending link order inside it.  Items whose active
+    one level and keep ascending link order inside it.  The head grouping
+    puts a pair at its head's level (one past the last for a head without
+    active out-links), a stable sort from flat order.  Items whose active
     subgraph has a cycle get ``acyclic[k] = False`` and contribute no pairs
     (a level may be left empty).  Each round touches only the pairs not yet
     placed, and takes the ready ones off their heads' in-degrees, so the
@@ -163,13 +169,38 @@ def dag_levels(topology, active):
     if rest.size:
         acyclic[k[rest]] = False  # links left over lie on or behind a cycle
         groups = [placed[acyclic[k[placed]]] for placed in groups]
-    ends = np.cumsum([placed.size for placed in groups]).tolist()
-    slices = [slice(end - placed.size, end) for placed, end in zip(groups, ends)]
+    sizes = [placed.size for placed in groups]
+    ends = np.cumsum(sizes).tolist()
+    slices = [slice(end - size, end) for size, end in zip(sizes, ends)]
     order = np.concatenate([*groups, rest[:0]])
-    src = src[order]
-    one_out = bool(np.bincount(src).max(initial=0) <= 1)
-    return Levels(e[order], pair[order], src, dst[order], slices, one_out,
-                  (C, V)), acyclic
+    src_out = src[order]
+    # a small unsigned type makes the stable sort a radix sort; level 0
+    # is left to the pairs of cyclic items, which are cut off
+    level = np.full(C * V, len(groups), dtype=np.min_scalar_type(V))
+    level[src_out] = np.repeat(np.arange(len(groups)), sizes)
+    head = level[dst]
+    if rest.size:
+        head[~acyclic[k]] = 0
+    into = np.argsort(head, kind="stable")
+    ends = np.searchsorted(head[into], np.arange(len(groups) + 1), side="right")
+    into = into[ends[0]:]
+    ends = (ends - ends[0]).tolist()
+    # each node's out-links are adjacent: the rounds keep flat order
+    one_out = not (src_out[1:] == src_out[:-1]).any()
+    return Levels(e[order], pair[order], src_out, dst[order], slices, one_out,
+                  (C, V), pair[into], src[into], dst[into],
+                  [slice(a, b) for a, b in zip(ends, ends[1:])]), acyclic
+
+
+def dag_layout(topology, active, blocked=None):
+    """(``Levels``, acyclic) for the (items, links) mask ``active``: static
+    ``blocked`` sets' layout of their unblocked DAG (``BlockedSets.layout``)
+    if ``active`` lies inside it, its extra pairs to be weighted 0, else a
+    ``dag_levels`` build."""
+    kept = None if blocked is None else blocked.layout(topology)
+    if kept is None or (active & ~kept[1]).any():
+        return dag_levels(topology, active)
+    return kept[0], np.ones(active.shape[0], dtype=bool)
 
 
 # The unblocked (item, link) pairs in flat (item, link) order, so each
@@ -205,14 +236,16 @@ def fold_out_links(src, link_vals, ufunc, start):
 
 
 def sweep_forward(levels, w, r):
-    """Requests flow downstream: t = r + Phi^T t, one level at a time, where
-    ``w`` weights each pair of ``levels`` in layout order.
+    """Requests flow downstream: t = r + Phi^T t, one head level at a time,
+    where ``w`` weights each pair of the head grouping (``levels.in_pair``).
 
-    Rows of items without pairs in ``levels`` come back equal to r.
+    Pull form: each node adds all its in-link terms at once, in link order,
+    so t depends only on the DAG, not on its layering.  Rows of items
+    without pairs in ``levels`` come back equal to r.
     """
     t = np.array(r, dtype=float).ravel()
-    for lv in levels.slices:
-        np.add.at(t, levels.dst[lv], w[lv] * t[levels.src[lv]])
+    for lv in levels.in_slices:
+        np.add.at(t, levels.in_dst[lv], w[lv] * t[levels.in_src[lv]])
     return t.reshape(np.shape(r))
 
 
@@ -267,14 +300,15 @@ def solve_dense(topology, phi, rhs, transpose=False):
     return x
 
 
-def solve_traffic(topology, demand, strategy, cost, previous=None):
+def solve_traffic(topology, demand, strategy, cost, blocked=None, previous=None):
     """Solve t = r + Phi^T t per item and populate flows and costs.
 
-    The routing DAG (the links with phi != 0) is leveled once, here, for
-    the whole period: items whose routing is acyclic are solved by one
-    forward sweep over their levels, and the levels go out on the FlowState
+    The routing DAG (the links with phi != 0) gets one layout for the whole
+    period (``dag_layout``; under static ``blocked`` sets, the instance's
+    layout of their unblocked DAG): items whose routing is acyclic are
+    solved by one forward sweep over it, and it goes out on the FlowState
     for the reverse sweep of ``compute_marginals``; given the last period's
-    FlowState as ``previous``, its levels are kept when its routed mask
+    FlowState as ``previous``, its layout is kept when its routed mask
     equals this one.  Items with a routing cycle fall back to the dense
     solve, so loopy strategies are supported as long as the system is
     nonsingular.  A cycle whose routing-fraction product reaches one makes
@@ -286,8 +320,8 @@ def solve_traffic(topology, demand, strategy, cost, previous=None):
     if previous is not None and np.array_equal(previous.routed, routed):
         levels, acyclic, routed = previous.levels, previous.acyclic, previous.routed
     else:
-        levels, acyclic = dag_levels(topology, routed)
-    t = sweep_forward(levels, phi.ravel()[levels.pair], r)
+        levels, acyclic = dag_layout(topology, routed, blocked)
+    t = sweep_forward(levels, phi.ravel()[levels.in_pair], r)
     cyclic = ~acyclic
     if cyclic.any():
         t[cyclic] = solve_dense(topology, phi[cyclic], r[cyclic])

@@ -217,14 +217,15 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
 
     Static blocked sets are fixed for the run and read off the instance's
     zero-flow order, which is built once per instance and shared with
-    ``shortest_path_strategy`` and every later call on the instance.  Per
-    period: level each item's routing DAG once and solve traffic by a
-    forward sweep over it, compute the dynamic blocked sets from the
+    ``shortest_path_strategy`` and every later call on the instance, as is
+    the layout of their unblocked DAG.  Per period: lay out each item's
+    routing DAG once (from that layout under static sets) and solve traffic
+    by a forward sweep over it, compute the dynamic blocked sets from the
     arrival rates (dynamic mode only), get the marginals by a reverse sweep
-    over the same levels (the pairs at phi <= PHI_ACTIVE weighted 0), apply
+    over the same layout (the pairs at phi <= PHI_ACTIVE weighted 0), apply
     one ``gp_step`` to the pairs the schedule selects (every pair with a
     positive residual, or all items at one node), and record cost /
-    residual / broadcast-message counts.  The levels and the dynamic sets
+    residual / broadcast-message counts.  The layout and the dynamic sets
     of the last period are kept when their inputs have not changed.  A
     routing loop (an item whose positive-phi subgraph is not a DAG) raises,
     as a LoopError in dynamic mode.
@@ -258,7 +259,8 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
     flow = blocked = None
     for period in range(config.max_periods):
         try:
-            flow = solve_traffic(topology, demand, strategy, cost, previous=flow)
+            flow = solve_traffic(topology, demand, strategy, cost, static,
+                                 previous=flow)
         except DivergentCirculationError:
             if static is None:   # name the loop, as the sets would have
                 dynamic_blocked_sets(topology, demand, strategy)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .flow import (
     T_ZERO,
-    dag_levels,
+    dag_layout,
     fold_out_links,
     pair_index,
     solve_dense,
@@ -88,10 +88,12 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     its out-links in link order), the transposed dense solve for the rest.
     The sweep walks the layout ``solve_traffic`` left on ``flow`` as it is,
     the pairs at phi <= PHI_ACTIVE weighted 0, which gives the values of a
-    sweep over the active pairs alone; the active subgraph is leveled anew
-    when ``flow`` has no layout, has a cyclic item, or misses an active
-    pair.  The direction table of ``blocked`` (None: nothing blocked) is
-    built here, once, and delta_min minimizes only over its pairs.
+    sweep over the active pairs alone; the active subgraph is laid out anew
+    (``flow.dag_layout``: static ``blocked`` sets lend their instance's
+    layout) when ``flow`` has no layout, has a cyclic item, or misses an
+    active pair.  The direction table of ``blocked`` (None: nothing
+    blocked) is built here, once, and delta_min minimizes only over its
+    pairs.
     """
     V = topology.num_nodes
     phi = strategy.phi
@@ -103,7 +105,7 @@ def compute_marginals(topology, demand, strategy, flow, cost, blocked=None):
     active = phi > PHI_ACTIVE
     if (flow.routed is None or not flow.acyclic.all()
             or (active & ~flow.routed).any()):
-        levels, acyclic = dag_levels(topology, active)
+        levels, acyclic = dag_layout(topology, active, blocked)
     else:
         levels, acyclic = flow.levels, flow.acyclic
     w = phi.ravel()[levels.pair]

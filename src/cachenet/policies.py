@@ -425,8 +425,3 @@ def flow_costgreedy(scenario, max_steps=None):
             best_cost, best_cached = total, cached.copy()
     best_sets = [set(np.nonzero(col)[0].tolist()) for col in best_cached.T]
     return best_cost, best_sets, costs
-
-
-def track_costs(run):
-    """Align the measured window totals with the policy's theoretical T."""
-    return [(r.measured_total, r.theoretical_total) for r in run.records]

@@ -206,14 +206,12 @@ def generate_scenario(spec, seed):
     if file_d is not None:
         d = file_d
     else:
-        lo, hi = spec.link_cost_range
-        pair_d = {}
+        # one draw per undirected pair, in the order of its first link
+        # (src < dst, as links sort by (src, dst)), copied onto the reverse
+        up = np.flatnonzero(top.src < top.dst)
         d = np.empty(top.num_links)
-        for e, (i, j) in enumerate(top.links):
-            key = frozenset((i, j))
-            if key not in pair_d:
-                pair_d[key] = float(rng.uniform(lo, hi))
-            d[e] = pair_d[key]
+        d[up] = rng.uniform(*spec.link_cost_range, size=up.size)
+        d[top.rev[up]] = d[up]
     link = poly3_link_costs(d) if spec.link_cost_kind == "poly3" else linear_link_costs(d)
 
     if file_b is not None:
@@ -288,16 +286,6 @@ def load_topology_file(path):
     d = np.array([edges[e] for e in top.links])
     b = np.array([cache.get(i, 0.0) for i in range(n)])
     return top, d, b
-
-
-def save_topology_file(path, topology, d, b=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"nodes {topology.num_nodes}\n")
-        for e, (i, j) in enumerate(topology.links):
-            fh.write(f"edge {i} {j} {d[e]:.9g}\n")
-        if b is not None:
-            for i, bi in enumerate(b):
-                fh.write(f"cache {i} {bi:.9g}\n")
 
 
 # -- scenario document (YAML) ----------------------------------------------

@@ -468,48 +468,3 @@ def run_simulation(scenario, policy, schedule, seed, trace=None,
         return sim.run()
     finally:
         policy.sim = None
-
-
-def decision_flow_state(scenario, strategy, x):
-    """Flows when caches hold the binary decisions x but conditional routing
-    is preserved: phi_eff = rho * (1 - x)."""
-    from .flow import Strategy, solve_traffic
-
-    C, V = x.shape
-    top = scenario.topology
-    y = strategy.y
-    denom = 1.0 - y[:, top.src]
-    phi_eff = np.where(
-        denom > 1e-12,
-        strategy.phi * (1.0 - x[:, top.src]) / np.maximum(denom, 1e-12),
-        0.0,
-    )
-    eff = Strategy(top, C, phi=phi_eff, y=x.astype(float))
-    return solve_traffic(top, scenario.demand, eff, scenario.cost)
-
-
-def mc_measured_cost_model(scenario, strategy, t_monitor, n_samples, seed):
-    """Monte-Carlo model of the per-window measured total cost.
-
-    Resamples the two randomizations a window sees: per-node DRR cache
-    decisions and Poisson counting of per-link responses over the window.
-    Token forwarding is treated as Poisson splitting (slightly conservative:
-    token pools have sub-Poisson variance).  Returns (mean, std) of the
-    window cost.
-    """
-    from .rounding import build_bar_map, sample_decision
-
-    rng = np.random.default_rng(seed)
-    top, cost = scenario.topology, scenario.cost
-    V = top.num_nodes
-    bar_map = build_bar_map(strategy.y)
-    samples = np.empty(n_samples)
-    for s in range(n_samples):
-        x = sample_decision(bar_map, rng.random(V))
-        fs = decision_flow_state(scenario, strategy, x)
-        counts = rng.poisson(np.maximum(fs.F, 0.0) * t_monitor)
-        F_hat = counts / t_monitor
-        link = float(cost.link_cost(F_hat).sum())
-        cache = float(cost.cache_cost(x.sum(axis=0).astype(float)).sum())
-        samples[s] = link + cache
-    return float(samples.mean()), float(samples.std(ddof=1))

@@ -19,6 +19,7 @@ from cachenet.network import (
     poly3_link_costs,
     zero_costs,
 )
+from cachenet.rounding import build_bar_map, sample_decision
 from cachenet.scenarios import build_topology, zipf_weights
 from cachenet.policies import CostGreedyPolicy, RelaxedStrategyPolicy
 from cachenet.sim import (
@@ -132,6 +133,72 @@ def fd_phi_pair(topology, demand, strategy, cost, k, e_plus, e_minus, h=1e-6):
     return (up - dn) / (2 * h)
 
 
+def is_blocked(blocked, topology, i, j, k):
+    """Whether ``blocked`` bars node i from forwarding item k to j (always,
+    for a j that is not a neighbour)."""
+    e = topology.edge_index.get((i, j))
+    return True if e is None else bool(blocked.mask[k, e])
+
+
+def track_costs(run):
+    """Align a simulation run's measured window totals with the policy's
+    theoretical T."""
+    return [(r.measured_total, r.theoretical_total) for r in run.records]
+
+
+def save_topology_file(path, topology, d, b=None):
+    """Write ``topology`` in the format ``scenarios.load_topology_file``
+    reads: per-link d, and per-node cache prices b if given."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"nodes {topology.num_nodes}\n")
+        for e, (i, j) in enumerate(topology.links):
+            fh.write(f"edge {i} {j} {d[e]:.9g}\n")
+        if b is not None:
+            for i, bi in enumerate(b):
+                fh.write(f"cache {i} {bi:.9g}\n")
+
+
+def decision_flow_state(scenario, strategy, x):
+    """Flows when caches hold the binary decisions x but conditional routing
+    is preserved: phi_eff = rho * (1 - x)."""
+    C, V = x.shape
+    top = scenario.topology
+    y = strategy.y
+    denom = 1.0 - y[:, top.src]
+    phi_eff = np.where(
+        denom > 1e-12,
+        strategy.phi * (1.0 - x[:, top.src]) / np.maximum(denom, 1e-12),
+        0.0,
+    )
+    eff = Strategy(top, C, phi=phi_eff, y=x.astype(float))
+    return solve_traffic(top, scenario.demand, eff, scenario.cost)
+
+
+def mc_measured_cost_model(scenario, strategy, t_monitor, n_samples, seed):
+    """Monte-Carlo model of the per-window measured total cost.
+
+    Resamples the two randomizations a window sees: per-node DRR cache
+    decisions and Poisson counting of per-link responses over the window.
+    Token forwarding is treated as Poisson splitting (slightly conservative:
+    token pools have sub-Poisson variance).  Returns (mean, std) of the
+    window cost.
+    """
+    rng = np.random.default_rng(seed)
+    top, cost = scenario.topology, scenario.cost
+    V = top.num_nodes
+    bar_map = build_bar_map(strategy.y)
+    samples = np.empty(n_samples)
+    for s in range(n_samples):
+        x = sample_decision(bar_map, rng.random(V))
+        fs = decision_flow_state(scenario, strategy, x)
+        counts = rng.poisson(np.maximum(fs.F, 0.0) * t_monitor)
+        F_hat = counts / t_monitor
+        link = float(cost.link_cost(F_hat).sum())
+        cache = float(cost.cache_cost(x.sum(axis=0).astype(float)).sum())
+        samples[s] = link + cache
+    return float(samples.mean()), float(samples.std(ddof=1))
+
+
 # ---------------------------------------------------------------------------
 # Loop references for the array forms in cachenet.blocking / gp / marginals
 # ---------------------------------------------------------------------------
@@ -162,6 +229,17 @@ def reference_dag_levels(topology, active):
         keep = acyclic[gk]
         levels.append((ge[keep], gk[keep] * E + ge[keep], gs[keep], gd[keep]))
     return levels, acyclic
+
+
+def reference_sweep_forward(levels, w, r):
+    """The push form of ``flow.sweep_forward``: by source level, each pair
+    adds its term at its head, so a node sums its in-links in the order of
+    their sources' levels, which depends on the layering; ``w`` weights the
+    source grouping (``levels.pair``)."""
+    t = np.array(r, dtype=float).ravel()
+    for lv in levels.slices:
+        np.add.at(t, levels.dst[lv], w[lv] * t[levels.src[lv]])
+    return t.reshape(np.shape(r))
 
 
 def topological_order(topology, active_out, ahead=()):
@@ -670,14 +748,14 @@ def batch_gains(instance, ys):
     (B, num_items, num_nodes) in one pass: the instance's flows and costs
     operation for operation, each array with the batch on a leading axis."""
     top, levels, cost = instance.topology, instance._levels, instance.cost
-    src, dst = levels.src, levels.dst
+    src, dst = levels.in_src, levels.in_dst
     B, C, V = ys.shape
     w = 1.0 - ys.reshape(B, C * V)[:, src]
     t = np.tile(instance.demand.rates.ravel(), (B, 1))
-    for lv in levels.slices:
+    for lv in levels.in_slices:
         np.add.at(t, (slice(None), dst[lv]), w[:, lv] * t[:, src[lv]])
     phi = np.zeros((B, C * top.num_links))
-    phi[:, levels.pair] = w
+    phi[:, levels.in_pair] = w
     t, phi = t.reshape(B, C, V), phi.reshape(B, C, top.num_links)
     # F sums each link's items along contiguous memory, as ``flows`` does
     prod = np.ascontiguousarray(

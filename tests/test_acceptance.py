@@ -18,7 +18,7 @@ from cachenet.network import CostModel, Demand, Topology, linear_cache_costs
 from cachenet.policies import FrozenStrategyPolicy, flow_costgreedy
 from cachenet.rounding import build_bar_map, sample_decision
 from cachenet.scenarios import ScenarioSpec, TABLE_PRESETS, generate_scenario
-from cachenet.sim import SimSchedule, mc_measured_cost_model, run_simulation
+from cachenet.sim import SimSchedule, run_simulation
 from cachenet.cli import reprice_caches, scale_rates
 
 from helpers import (
@@ -26,6 +26,7 @@ from helpers import (
     batch_gains,
     fd_phi_pair,
     line_topology,
+    mc_measured_cost_model,
     random_loopfree_instance,
     symmetric_costs,
 )

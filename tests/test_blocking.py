@@ -14,7 +14,12 @@ from cachenet.gp import GPConfig, run_gp, shortest_path_strategy, sp_next_hops
 from cachenet.network import Demand, Topology
 from cachenet.scenarios import TABLE_PRESETS, generate_scenario
 
-from helpers import line_topology, reference_static_blocked_sets, symmetric_costs
+from helpers import (
+    is_blocked,
+    line_topology,
+    reference_static_blocked_sets,
+    symmetric_costs,
+)
 
 
 def grid2x2():
@@ -39,9 +44,9 @@ class TestStaticSets:
             top, {frozenset((0, 1)): 1.0, frozenset((1, 2)): 1.0}, [1.0] * 3
         )
         b = static_blocked_sets(top, dem, cost=cost)
-        assert b.is_blocked(top, 1, 0, 0)       # away from the server
-        assert not b.is_blocked(top, 1, 2, 0)
-        assert not b.is_blocked(top, 0, 1, 0)
+        assert is_blocked(b, top, 1, 0, 0)       # away from the server
+        assert not is_blocked(b, top, 1, 2, 0)
+        assert not is_blocked(b, top, 0, 1, 0)
 
     def test_non_neighbor_always_blocked(self):
         top = line_topology(3)
@@ -50,16 +55,16 @@ class TestStaticSets:
             top, {frozenset((0, 1)): 1.0, frozenset((1, 2)): 1.0}, [1.0] * 3
         )
         b = static_blocked_sets(top, dem, cost=cost)
-        assert b.is_blocked(top, 0, 2, 0)
+        assert is_blocked(b, top, 0, 2, 0)
 
     def test_grid_distances_by_hand(self):
         # distances from server 0 with unit weights: (0, 1, 1, 2); the
         # diagonally opposite node 3 may use both neighbors
         top, dem, cost = grid2x2()
         b = static_blocked_sets(top, dem, cost=cost)
-        assert not b.is_blocked(top, 3, 1, 0)
-        assert not b.is_blocked(top, 3, 2, 0)
-        assert b.is_blocked(top, 1, 3, 0)
+        assert not is_blocked(b, top, 3, 1, 0)
+        assert not is_blocked(b, top, 3, 2, 0)
+        assert is_blocked(b, top, 1, 3, 0)
 
     def test_equal_distance_tie_breaks_by_id(self):
         # triangle, server 0: nodes 1 and 2 tie at distance 1, so only the
@@ -70,8 +75,8 @@ class TestStaticSets:
             top, {frozenset(e): 1.0 for e in [(0, 1), (0, 2), (1, 2)]}, [1.0] * 3
         )
         b = static_blocked_sets(top, dem, cost=cost)
-        assert not b.is_blocked(top, 2, 1, 0)
-        assert b.is_blocked(top, 1, 2, 0)
+        assert not is_blocked(b, top, 2, 1, 0)
+        assert is_blocked(b, top, 1, 2, 0)
 
     def test_unblocked_graph_is_dag(self):
         top, dem, cost = grid2x2()
@@ -99,9 +104,9 @@ class TestStaticSets:
             top, {frozenset((0, 2)): 1.0, frozenset((1, 2)): 0.0}, [1.0] * 3
         )
         b = static_blocked_sets(top, dem, cost=cost)
-        assert not b.is_blocked(top, 1, 2, 0)
-        assert b.is_blocked(top, 2, 1, 0)
-        assert not b.is_blocked(top, 2, 0, 0)
+        assert not is_blocked(b, top, 1, 2, 0)
+        assert is_blocked(b, top, 2, 1, 0)
+        assert not is_blocked(b, top, 2, 0, 0)
 
 
 class TestZeroFlowMemo:
@@ -159,6 +164,39 @@ class TestZeroFlowMemo:
         assert e not in index.pair and index.pair.size == first.pair_index(top).pair.size - 1
         with pytest.raises(ValueError):
             written.mask[0, e] = False
+
+    def test_set_up_builds_no_layout(self, monkeypatch):
+        # the scenario, the shortest-path start and its next hops level no
+        # DAG; the static sets' layout is built on first use, once
+        import cachenet.blocking
+        import cachenet.flow
+
+        calls = []
+        dag_levels = cachenet.flow.dag_levels
+
+        def counted(topology, active):
+            calls.append(active)
+            return dag_levels(topology, active)
+
+        monkeypatch.setattr(cachenet.flow, "dag_levels", counted)
+        monkeypatch.setattr(cachenet.blocking, "dag_levels", counted)
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=5)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        shortest_path_strategy(top, dem, cost)
+        sp_next_hops(top, dem, cost)
+        first, second = (static_blocked_sets(top, dem, cost) for _ in range(2))
+        assert calls == []
+        levels, unblocked = first.layout(top)
+        assert second.layout(top)[0] is levels and len(calls) == 1
+        assert np.array_equal(calls[0], unblocked) and np.array_equal(unblocked, ~first.mask)
+        assert levels.pair.size == levels.in_pair.size == unblocked.sum()
+
+    def test_written_mask_has_no_layout(self):
+        top, dem, cost = grid2x2()
+        written = static_blocked_sets(top, dem, cost)
+        written.mask[0, int(np.argmin(written.mask[0]))] = True
+        assert written.layout(top) is None
+        assert static_blocked_sets(top, dem, cost).layout(top) is not None
 
     def test_other_servers_get_their_own_sets(self, monkeypatch):
         calls = self._count_distances(monkeypatch)
@@ -248,10 +286,10 @@ class TestDynamicSets:
         dem = Demand(1, [{2}], np.array([[1.0, 0.0, 0.0]]))
         s = Strategy.from_dicts(top, 1, phi={(0, 1, 0): 1.0, (1, 2, 0): 1.0})
         b = dynamic_blocked_sets(top, dem, s)
-        assert b.is_blocked(top, 1, 0, 0)
-        assert b.is_blocked(top, 2, 1, 0)
-        assert not b.is_blocked(top, 0, 1, 0)
-        assert not b.is_blocked(top, 1, 2, 0)
+        assert is_blocked(b, top, 1, 0, 0)
+        assert is_blocked(b, top, 2, 1, 0)
+        assert not is_blocked(b, top, 0, 1, 0)
+        assert not is_blocked(b, top, 1, 2, 0)
 
     def test_all_zero_phi_orders_by_id(self):
         # triangle, no positive phi: order (0,1,2); 0 may forward to both,
@@ -260,12 +298,12 @@ class TestDynamicSets:
         dem = Demand(1, [{2}], np.array([[0.0, 0.0, 0.0]]))
         s = Strategy(top, 1)
         b = dynamic_blocked_sets(top, dem, s)
-        assert not b.is_blocked(top, 0, 1, 0)
-        assert not b.is_blocked(top, 0, 2, 0)
-        assert not b.is_blocked(top, 1, 2, 0)
-        assert b.is_blocked(top, 1, 0, 0)
-        assert b.is_blocked(top, 2, 0, 0)
-        assert b.is_blocked(top, 2, 1, 0)
+        assert not is_blocked(b, top, 0, 1, 0)
+        assert not is_blocked(b, top, 0, 2, 0)
+        assert not is_blocked(b, top, 1, 2, 0)
+        assert is_blocked(b, top, 1, 0, 0)
+        assert is_blocked(b, top, 2, 0, 0)
+        assert is_blocked(b, top, 2, 1, 0)
 
     def test_seven_node_dag_order_consistent(self):
         # a 7-node DAG for which 0,6,1,5,4,2,3 is one valid witness order;
@@ -288,7 +326,7 @@ class TestDynamicSets:
             s.set_phi(a, b, 0, 0.5)
         b = dynamic_blocked_sets(top, dem, s)
         for a, bb in dag_edges:
-            assert not b.is_blocked(top, a, bb, 0)
+            assert not is_blocked(b, top, a, bb, 0)
 
     def test_cycle_raises(self):
         top = line_topology(3)
@@ -317,13 +355,13 @@ class TestStrandedNodes:
         top, dem, cost, s = stranded_fixture()
         t = np.array([[0.0, 1.0, 0.0, 0.0]])
         plain = dynamic_blocked_sets(top, dem, s)
-        assert all(plain.is_blocked(top, 2, j, 0) for j in (0, 1, 3))
+        assert all(is_blocked(plain, top, 2, j, 0) for j in (0, 1, 3))
         # re-sorted with {2, 3} ahead: 3, 2, 1, 0
         b = dynamic_blocked_sets(top, dem, s, t)
-        assert not b.is_blocked(top, 2, 0, 0)
-        assert not b.is_blocked(top, 2, 1, 0)
-        assert not b.is_blocked(top, 3, 2, 0)
-        assert not b.is_blocked(top, 1, 0, 0)
+        assert not is_blocked(b, top, 2, 0, 0)
+        assert not is_blocked(b, top, 2, 1, 0)
+        assert not is_blocked(b, top, 3, 2, 0)
+        assert not is_blocked(b, top, 1, 0, 0)
         # a cache that receives requests, or holds nothing, is not stranded
         assert np.array_equal(dynamic_blocked_sets(top, dem, s, t + 1.0).mask,
                               plain.mask)

@@ -21,6 +21,7 @@ from cachenet.flow import (
     fold_out_links,
     solve_dense,
     solve_traffic,
+    sweep_forward,
     sweep_reverse,
 )
 from cachenet.gp import (
@@ -58,6 +59,7 @@ from helpers import (
     reference_server_distances,
     reference_shortest_path_strategy,
     reference_sp_next_hops,
+    reference_sweep_forward,
     reference_static_blocked_sets,
     reference_tight_shortest_path_strategy,
     symmetric_costs,
@@ -229,7 +231,8 @@ class TestSweepMatchesDense:
 class TestLevelsMatchLoop:
     """Every slice of the ``dag_levels`` layout gives the compacting loop's
     level, array for array (values and dtype), with the same acyclic flags
-    and ``one_out`` true iff no (item, node) is the source of two pairs."""
+    and ``one_out`` true iff no (item, node) is the source of two pairs; the
+    head grouping sorts the same pairs by their head's level."""
 
     @staticmethod
     def _check(top, active):
@@ -250,6 +253,24 @@ class TestLevelsMatchLoop:
         assert levels.one_out == (len(srcs) == len(set(srcs)))
         assert levels.shape == (active.shape[0], top.num_nodes)
         assert all(arr.dtype == np.int64 for arr in flat)
+        # the head grouping: a pair goes to its head's level (that of the
+        # head's out-links, one past the last for a head without), and the
+        # pairs sort stably by it from flat order
+        last = len(ref_levels)
+        out_level = {}
+        for n, (_, _, src, _) in enumerate(ref_levels):
+            out_level.update(dict.fromkeys(src.tolist(), n))
+        pairs = sorted(zip(levels.pair.tolist(), levels.src.tolist(),
+                           levels.dst.tolist()))
+        pairs.sort(key=lambda p: out_level.get(p[2], last))
+        into = (levels.in_pair, levels.in_src, levels.in_dst)
+        assert [tuple(p) for p in zip(*(a.tolist() for a in into))] == pairs
+        assert all(a.dtype == np.int64 for a in into)
+        bounds = [(lv.start, lv.stop) for lv in levels.in_slices]
+        counts = [sum(out_level.get(p[2], last) == n for p in pairs)
+                  for n in range(1, last + 1)]
+        ends = np.cumsum(counts, dtype=int).tolist()
+        assert bounds == list(zip([0] + ends, ends))
         return acyclic
 
     def test_random_masks(self):
@@ -292,6 +313,69 @@ class TestLevelsMatchLoop:
         phi = traj.strategy.phi
         assert self._check(top, phi != 0).all()
         assert self._check(top, phi > PHI_ACTIVE).all()
+
+
+class TestLayoutIndependence:
+    """The forward sweep (pull form) and the reverse sweep give the same
+    bits over any valid layout of a DAG: its own Kahn levels or the layout
+    of a DAG holding it (its extra pairs weighted 0).  The push form of the forward sweep agrees to within a
+    few ulp."""
+
+    @staticmethod
+    def _random_dags(rng, top, C):
+        """Per item a random rank; ``cover`` holds the downhill links,
+        ``active`` a random part of them (rows may be empty)."""
+        rank = np.array([rng.permutation(top.num_nodes) for _ in range(C)])
+        cover = rank[:, top.dst] < rank[:, top.src]
+        cover &= rng.random(cover.shape) < 0.9
+        active = cover & (rng.random(cover.shape) < rng.choice([0.2, 0.5, 1.0]))
+        return active, cover
+
+    def test_random_dags(self):
+        rng = np.random.default_rng(3131)
+        pushed = 0
+        for _ in range(150):
+            top, _, _, _ = random_loopfree_instance(rng, max_nodes=9)
+            C = int(rng.integers(1, 5))
+            active, cover = self._random_dags(rng, top, C)
+            own, acyclic = dag_levels(top, active)
+            full, full_acyclic = dag_levels(top, cover)
+            assert acyclic.all() and full_acyclic.all()
+            layouts = (own, full)
+            phi = np.where(active, rng.uniform(0.0, 1.0, active.shape), 0.0)
+            phi[rng.random(phi.shape) < 0.1] = 0.0
+            price = rng.uniform(0.0, 3.0, top.num_links)
+            r = rng.uniform(0.0, 2.0, (C, top.num_nodes))
+            r[rng.random(r.shape) < 0.3] = 0.0
+            ts = [sweep_forward(lv, phi.ravel()[lv.in_pair], r) for lv in layouts]
+            gs = [sweep_reverse(lv, phi.ravel()[lv.pair], price[lv.link])
+                  for lv in layouts]
+            assert len({t.tobytes() for t in ts}) == 1
+            assert len({g.tobytes() for g in gs}) == 1
+            push = reference_sweep_forward(own, phi.ravel()[own.pair], r)
+            assert np.abs(push - ts[0]).max(initial=0.0) <= 4 * np.spacing(
+                np.abs(ts[0]).max(initial=0.0))
+            pushed += not np.array_equal(push, ts[0])
+        assert pushed > 0
+
+    @pytest.mark.parametrize("preset", sorted(TABLE_PRESETS))
+    def test_static_layout_gives_the_fresh_bits(self, preset):
+        # under static sets the traffic solve and the marginals run over
+        # the instance's layout, and give what fresh levels give
+        scen = generate_scenario(TABLE_PRESETS[preset], seed=1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        blocked = static_blocked_sets(top, dem, cost)
+        strat = run_gp(top, dem, cost, GPConfig(
+            alpha=0.05, max_periods=10, tol=1e-12)).strategy
+        kept = solve_traffic(top, dem, strat, cost, blocked)
+        fresh = solve_traffic(top, dem, strat, cost)
+        assert kept.levels is blocked.layout(top)[0]
+        assert kept.t.tobytes() == fresh.t.tobytes()
+        assert kept.F.tobytes() == fresh.F.tobytes()
+        bare = dataclasses.replace(fresh, levels=None, acyclic=None, routed=None)
+        got = [compute_marginals(top, dem, strat, flow, cost, blocked).dTdr
+               for flow in (kept, fresh, bare)]
+        assert len({g.tobytes() for g in got}) == 1
 
 
 class TestReverseScatter:

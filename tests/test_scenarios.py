@@ -15,12 +15,11 @@ from cachenet.scenarios import (
     load_scenario,
     load_topology_file,
     save_scenario,
-    save_topology_file,
     small_world_links,
     zipf_weights,
 )
 
-from helpers import reference_generate_scenario
+from helpers import reference_generate_scenario, save_topology_file
 
 
 class TestTopologyCounts:

@@ -23,24 +23,24 @@ from cachenet.policies import (
     UniformDeploymentPolicy,
     flow_costgreedy,
     make_policy,
-    track_costs,
 )
 from cachenet.sim import (
     SimSchedule,
     Simulator,
     apportion_tokens,
-    decision_flow_state,
-    mc_measured_cost_model,
     run_simulation,
 )
 from cachenet.scenarios import TABLE_PRESETS, ScenarioSpec, generate_scenario
 
 from helpers import (
     ParentWalkSimulator,
+    decision_flow_state,
     line_topology,
+    mc_measured_cost_model,
     reference_costgreedy_pick,
     reference_run_simulation,
     symmetric_costs,
+    track_costs,
 )
 from cachenet.network import Scenario
 
@@ -431,6 +431,42 @@ class TestGpInSim:
         e02 = top.edge_index[(0, 2)]
         assert pol.strategy.phi[0, e01] > 0.2
         assert pol.strategy.phi[0, e02] > 0.2
+
+    def test_static_updates_sweep_the_kept_layout(self, monkeypatch):
+        # under static sets each update's marginals sweep the instance's
+        # layout, built once, and move the strategy as fresh levels would
+        import cachenet.blocking
+        import cachenet.flow
+
+        calls = []
+        dag_levels = cachenet.flow.dag_levels
+
+        def counted(topology, active):
+            calls.append(int(active.sum()))
+            return dag_levels(topology, active)
+
+        monkeypatch.setattr(cachenet.flow, "dag_levels", counted)
+        monkeypatch.setattr(cachenet.blocking, "dag_levels", counted)
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=3)
+        top, dem = scen.topology, scen.demand
+        start = shortest_path_strategy(top, dem, scen.cost)
+        measured = solve_traffic(top, dem, start, scen.cost)
+        strategies = []
+        for _ in range(2):
+            pol = make_policy("gp", alpha=0.05)
+            pol.setup(scen, None)
+            calls.clear()
+            for period in range(5):
+                pol.on_update(period, measured.F, measured.t)
+            strategies.append(pol.strategy)
+            if len(strategies) == 1:   # the layout, on the first update
+                assert calls == [int((~pol.blocked.mask).sum())]
+            monkeypatch.setattr(cachenet.blocking.BlockedSets, "layout",
+                                lambda self, topology: None)
+        assert len(calls) == 5     # with no kept layout, one build per update
+        assert strategies[0].phi.tobytes() == strategies[1].phi.tobytes()
+        assert strategies[0].y.tobytes() == strategies[1].y.tobytes()
+        assert not np.array_equal(strategies[0].phi, start.phi)
 
     @pytest.mark.parametrize("mode", ["statc", "Static", "", None])
     def test_unknown_blocked_mode_rejected(self, mode):
