@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllRoutedError, require_count
+from .errors import IllRoutedError, StructuralError, require_count
 from .flow import Strategy, dag_levels, sweep_forward, sweep_reverse
 
 
@@ -27,7 +27,8 @@ class FixedRoutingInstance:
     request enters it), and every non-server node that requests reach needs
     a next hop, so every request path ends at a designated server.  Flows and
     gradients are the ``flow`` sweeps over the forest's layout, built once
-    here, with phi = 1 - y on the next hops.
+    here, with phi = 1 - y on the next hops; the link flows F are one
+    ``np.bincount``.  Caching arrays y must be (num_items, num_nodes).
     """
 
     def __init__(self, topology, demand, cost, next_hop):
@@ -64,13 +65,9 @@ class FixedRoutingInstance:
             raise IllRoutedError(
                 f"next-hop cycle for item {int(np.argmin(acyclic))}"
             )
-        # buffers reused by every call: phi (C, E), rewritten on the next
-        # hops only and zero elsewhere, and the two gathers of F's product,
-        # link-major (E, C) so that F sums each link's items along
-        # contiguous memory, in numpy's pairwise order
-        self._phi_buf = np.zeros((C, top.num_links))
-        self._t_dst = np.empty((top.num_links, C))
-        self._phi_rev = np.empty((top.num_links, C))
+        # per pair of the head grouping, the link its responses return on:
+        # those to requests over (i, j) travel (j, i)
+        self._resp = top.rev[self._levels.in_pair % top.num_links]
         self._servers = dem.server_mask
         reached = sweep_forward(self._levels, np.ones(self._levels.in_pair.size),
                                 dem.rates) > 0
@@ -87,20 +84,25 @@ class FixedRoutingInstance:
 
         t is the forward sweep t = r + Phi^T t over the next-hop forest, the
         product form: the rate surviving past node p^l on a path is
-        r_v * prod_{l' <= l} (1 - y(p^l')).
+        r_v * prod_{l' <= l} (1 - y(p^l')).  Request pair (k, i -> j) adds
+        t_i(k) (1 - y_i(k)) to F on link (j, i), in head-level order.
         """
-        top, levels = self.topology, self._levels
-        y = np.asarray(y, dtype=float)
+        levels = self._levels
+        y = self._caching(y)
         w = 1.0 - y.ravel()[levels.in_src]
-        phi = self._phi_buf
-        phi.ravel()[levels.in_pair] = w
         t = sweep_forward(levels, w, self.demand.rates)
-        # responses to requests over (i, j) return on link (j, i)
-        prod = np.take(t.T, top.dst, axis=0, out=self._t_dst, mode="clip")
-        prod *= np.take(phi.T, top.rev, axis=0, out=self._phi_rev, mode="clip")
-        F = prod.sum(axis=1)
+        F = np.bincount(self._resp, t.ravel()[levels.in_src] * w,
+                        minlength=self.topology.num_links)
         Y = np.clip(y, 0.0, None).sum(axis=0)
         return t, F, Y
+
+    def _caching(self, y):
+        """y as floats; StructuralError unless shaped (num_items, num_nodes)."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != self._servers.shape:
+            raise StructuralError(f"caching array of shape {y.shape}, not "
+                                  f"(num_items, num_nodes) {self._servers.shape}")
+        return y
 
     def saved_cost(self, y, t, prices):
         """t_i(k) * (p_ji + g_j(k)) at the next hop j of each (node, item),
@@ -114,7 +116,7 @@ class FixedRoutingInstance:
         """
         levels = self._levels
         src = levels.src
-        y = np.asarray(y, dtype=float)
+        y = self._caching(y)
         p = prices[levels.link]
         g = sweep_reverse(levels, 1.0 - y.ravel()[src], p).ravel()
         out = np.zeros(t.shape)
@@ -133,9 +135,9 @@ class FixedRoutingInstance:
         """The (phi, y) strategy this instance pins: phi = 1 - y on the next
         hop, zero elsewhere."""
         levels = self._levels
-        y = np.array(y, dtype=float)
+        y = self._caching(y).copy()
         y[self._servers] = 0.0
-        phi = np.zeros_like(self._phi_buf)
+        phi = np.zeros((self.demand.num_items, self.topology.num_links))
         phi.ravel()[levels.pair] = 1.0 - y.ravel()[levels.src]
         return Strategy(self.topology, self.demand.num_items, phi, y)
 
@@ -175,7 +177,6 @@ def grad_gain(instance, y, flows=None):
     ``eval_gain``.
     """
     top = instance.topology
-    y = np.asarray(y, dtype=float)
     t, F, Y = instance.flows(y) if flows is None else flows
     gradA = instance.saved_cost(y, t, instance.cost.link_deriv(F)[top.rev])
     Bp = instance.cost.cache_deriv(Y)

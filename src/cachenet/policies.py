@@ -58,6 +58,8 @@ class RelaxedStrategyPolicy(SimPolicy):
     """Common machinery for policies carrying a relaxed (phi, y) strategy:
     DRR re-rounding per slot and conditional-routing token weights."""
 
+    blocked = None   # online GP's sets: static ones lend their kept layout
+
     def setup(self, scenario, sim):
         super().setup(scenario, sim)
         self.strategy = self.initial_strategy(scenario)
@@ -97,9 +99,8 @@ class RelaxedStrategyPolicy(SimPolicy):
 
     def theoretical_total(self, scenario):
         if self._theory is None:
-            fs = solve_traffic(
-                scenario.topology, scenario.demand, self.strategy, scenario.cost
-            )
+            fs = solve_traffic(scenario.topology, scenario.demand,
+                               self.strategy, scenario.cost, self.blocked)
             self._theory = fs.total_cost
         return self._theory
 

@@ -35,10 +35,6 @@ class BarMap:
     tail: np.ndarray
 
     @property
-    def total(self):
-        return self.y.sum(axis=0)
-
-    @property
     def intervals(self):
         """Per item of a one-node map, its (line, start, end) half-open
         spans; their total length equals y[k]."""

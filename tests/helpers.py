@@ -754,13 +754,12 @@ def batch_gains(instance, ys):
     t = np.tile(instance.demand.rates.ravel(), (B, 1))
     for lv in levels.in_slices:
         np.add.at(t, (slice(None), dst[lv]), w[:, lv] * t[:, src[lv]])
-    phi = np.zeros((B, C * top.num_links))
-    phi[:, levels.in_pair] = w
-    t, phi = t.reshape(B, C, V), phi.reshape(B, C, top.num_links)
-    # F sums each link's items along contiguous memory, as ``flows`` does
-    prod = np.ascontiguousarray(
-        (t[:, :, top.dst] * phi[:, :, top.rev]).transpose(0, 2, 1))
-    F = prod.sum(axis=2)
+    # one bincount whose bins are (batch, response link): each bin sums its
+    # terms in pair order, as ``flows`` does
+    E = top.num_links
+    resp = np.arange(B)[:, None] * E + instance._resp
+    F = np.bincount(resp.ravel(), (t[:, src] * w).ravel(),
+                    minlength=B * E).reshape(B, E)
     Y = np.clip(ys, 0.0, None).sum(axis=1)
     A = instance.baseline_cost() - cost.link_cost(F).sum(axis=1)
     return A - cost.cache_cost(Y).sum(axis=1)

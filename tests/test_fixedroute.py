@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cachenet import fixedroute
-from cachenet.errors import ConfigurationError, IllRoutedError
+from cachenet.errors import ConfigurationError, IllRoutedError, StructuralError
 from cachenet.fixedroute import FixedRoutingInstance, eval_gain, gcfw, grad_gain
 from cachenet.flow import solve_traffic
+from cachenet.gp import sp_next_hops
 from cachenet.network import (
     CostModel,
     Demand,
@@ -14,6 +15,7 @@ from cachenet.network import (
     linear_cache_costs,
     linear_link_costs,
 )
+from cachenet.scenarios import TABLE_PRESETS, generate_scenario
 
 from helpers import line_topology, symmetric_costs
 
@@ -170,6 +172,54 @@ class TestEvalGain:
             strat = inst.induced_strategy(y)
             fs = solve_traffic(inst.topology, inst.demand, strat, inst.cost)
             assert g.G == pytest.approx(g.baseline - fs.total_cost, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_PRESETS))
+    def test_gain_matches_total_cost_on_presets(self, name):
+        # the two flow engines on the shortest-path next hops: t and Y of
+        # the fixed-routing sweep equal ``solve_traffic`` on the induced
+        # strategy bit for bit; F, summed in another order, to 1e-12
+        scen = generate_scenario(TABLE_PRESETS[name], seed=1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        inst = FixedRoutingInstance(top, dem, cost,
+                                    sp_next_hops(top, dem, cost))
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            y = rng.uniform(0.0, 1.0, dem.server_mask.shape)
+            y[rng.uniform(size=y.shape) < 0.2] = 0.0
+            y[rng.uniform(size=y.shape) < 0.1] = 1.0
+            y[dem.server_mask] = 0.0
+            t, F, Y = inst.flows(y)
+            fs = solve_traffic(top, dem, inst.induced_strategy(y), cost)
+            assert t.tobytes() == fs.t.tobytes()
+            assert Y.tobytes() == fs.Y.tobytes()
+            np.testing.assert_allclose(F, fs.F, rtol=1e-12, atol=0.0)
+            g = eval_gain(inst, y)
+            assert g.G == pytest.approx(g.baseline - fs.total_cost, rel=1e-12)
+
+
+class TestCachingShape:
+    """Every caching array the fixed-routing code reads must be shaped
+    (num_items, num_nodes); grid-25 has 30 items and 25 nodes."""
+
+    @pytest.fixture(scope="class")
+    def inst(self):
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        return FixedRoutingInstance(top, dem, cost,
+                                    sp_next_hops(top, dem, cost))
+
+    @pytest.mark.parametrize("shape", [(25, 30), (29, 25), (30, 24),
+                                       (1, 30, 25), (750,), ()])
+    def test_mis_shaped_y_rejected(self, inst, shape):
+        y = np.zeros(shape)
+        t, _, _ = inst.flows(np.zeros((30, 25)))
+        prices = np.ones(inst.topology.num_links)
+        calls = [inst.flows, inst.induced_strategy,
+                 lambda y: inst.saved_cost(y, t, prices),
+                 lambda y: eval_gain(inst, y), lambda y: grad_gain(inst, y)]
+        for call in calls:
+            with pytest.raises(StructuralError, match="caching array"):
+                call(y)
 
 
 class TestGradGain:

@@ -468,6 +468,31 @@ class TestGpInSim:
         assert strategies[0].y.tobytes() == strategies[1].y.tobytes()
         assert not np.array_equal(strategies[0].phi, start.phi)
 
+    def test_static_run_levels_its_dag_once(self, monkeypatch):
+        # the theoretical cost of every period sweeps the static sets'
+        # kept layout too: one ``dag_levels`` call per run, and the same
+        # total as a solve that lays the routing DAG out anew
+        import cachenet.blocking
+        import cachenet.flow
+
+        calls = []
+        dag_levels = cachenet.flow.dag_levels
+
+        def counted(topology, active):
+            calls.append(int(active.sum()))
+            return dag_levels(topology, active)
+
+        monkeypatch.setattr(cachenet.flow, "dag_levels", counted)
+        monkeypatch.setattr(cachenet.blocking, "dag_levels", counted)
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=4)
+        pol = make_policy("gp", alpha=0.01)
+        sched = SimSchedule(t_slot=1.0, slots_per_period=2, periods=6)
+        run = run_simulation(scen, pol, sched, seed=5)
+        assert calls == [int((~pol.blocked.mask).sum())]
+        fresh = solve_traffic(scen.topology, scen.demand, pol.strategy,
+                              scen.cost)
+        assert run.records[-1].theoretical_total == fresh.total_cost
+
     @pytest.mark.parametrize("mode", ["statc", "Static", "", None])
     def test_unknown_blocked_mode_rejected(self, mode):
         # a mode that is neither static nor dynamic would start from
