@@ -14,7 +14,7 @@ from .fixedroute import FixedRoutingInstance, gcfw, require_iteration_count
 from .flow import FlowState, solve_traffic
 from .gp import gp_step, require_blocked_mode, shortest_path_strategy, sp_next_hops
 from .marginals import compute_marginals
-from .rounding import build_bar_map, sample_decision, slot_uniform
+from .rounding import build_bar_map, sample_decision, slot_uniforms
 
 
 class SimPolicy:
@@ -32,6 +32,19 @@ class SimPolicy:
     def on_update(self, period, measured_F, measured_arrivals):
         return 0
 
+    def slot_hits(self):
+        """The (C, V) cache-hit mask of the current slot, or None.
+
+        A policy that returns a mask has hits that change only in
+        ``on_slot`` and ``on_update``, routing that changes only in
+        ``on_update`` and is given by ``routing_array``, and no work in
+        ``on_hit`` or ``on_response_pass``.  The simulator then walks each
+        slot's requests together (the array walk) and calls no per-hop hook.
+        None, the default, selects the request-atomic walk, which calls
+        ``is_hit``, ``routing_weights`` and the other per-hop hooks.
+        """
+        return None
+
     def is_hit(self, node, item):
         raise NotImplementedError
 
@@ -42,6 +55,12 @@ class SimPolicy:
         pass
 
     def routing_weights(self, node, item):
+        raise NotImplementedError
+
+    def routing_array(self):
+        """(C, E) routing weights for the array walk: the tokens of (item
+        k, node i) are split over the out-links e of i in proportion to
+        [k, e], as ``routing_weights`` splits them."""
         raise NotImplementedError
 
     def failsafe_neighbors(self, node, item):
@@ -66,7 +85,6 @@ class RelaxedStrategyPolicy(SimPolicy):
         self._rebuild_bar_maps()
         C, V = scenario.demand.num_items, scenario.topology.num_nodes
         self.x = np.zeros((C, V), dtype=np.int8)
-        self._hit = self.x.astype(bool).tolist()   # x as lists, for is_hit
         self._theory = None
 
     def initial_strategy(self, scenario):
@@ -77,13 +95,15 @@ class RelaxedStrategyPolicy(SimPolicy):
         self._theory = None
 
     def on_slot(self, period, slot):
-        u = [slot_uniform(self.sim.seed, i, period, slot)
-             for i in range(self.scenario.topology.num_nodes)]
+        u = slot_uniforms(self.sim.seed, period, slot,
+                          self.scenario.topology.num_nodes)
         self.x[:] = sample_decision(self.bar_map, u)
-        self._hit = self.x.astype(bool).tolist()
+
+    def slot_hits(self):
+        return self.x.view(bool)
 
     def is_hit(self, node, item):
-        return self._hit[item][node]
+        return bool(self.x[item, node])
 
     def routing_weights(self, node, item):
         top = self.scenario.topology
@@ -93,6 +113,9 @@ class RelaxedStrategyPolicy(SimPolicy):
             if p > 0:
                 out.append((int(top.dst[e]), float(p)))
         return out
+
+    def routing_array(self):
+        return self.strategy.phi
 
     def cache_occupancy(self):
         return self.x.sum(axis=0).astype(float)
@@ -343,11 +366,20 @@ class CostGreedyPolicy(SpRoutingMixin, SimPolicy):
         super().setup(scenario, sim)
         self._setup_routing(scenario)
         self.cached = np.zeros(scenario.demand.server_mask.shape, dtype=bool)
-        self._hit = self.cached.tolist()   # cached as lists, for is_hit
         self._last_miss = None
+        top = scenario.topology
+        self._sp_weights = np.zeros((scenario.demand.num_items, top.num_links))
+        for (node, item), j in self.next_hop.items():
+            self._sp_weights[item, top.edge_index[(node, j)]] = 1.0
+
+    def slot_hits(self):
+        return self.cached
 
     def is_hit(self, node, item):
-        return self._hit[item][node]
+        return bool(self.cached[item, node])
+
+    def routing_array(self):
+        return self._sp_weights
 
     def on_update(self, period, measured_F, measured_arrivals):
         cur = self.sim.miss_cost_item.copy()
@@ -356,7 +388,6 @@ class CostGreedyPolicy(SpRoutingMixin, SimPolicy):
         pick = _costgreedy_pick(delta, self.cached, self.scenario.demand.server_mask)
         if pick is not None:
             self.cached[pick] = True
-            self._hit = self.cached.tolist()
         return 0
 
     def cache_occupancy(self):

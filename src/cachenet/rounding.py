@@ -94,8 +94,9 @@ def sample_decision(bar_map, u):
     return hit.astype(np.int8)
 
 
-def slot_uniform(master_seed, node, period, slot):
-    """Deterministic per-(node, period, slot) uniform draw from a splittable
-    master seed."""
-    rng = np.random.default_rng((int(master_seed), int(node), int(period), int(slot)))
-    return float(rng.random())
+def slot_uniforms(master_seed, period, slot, num_nodes):
+    """One uniform position per node for one slot, all drawn from one
+    generator seeded by (master_seed, period, slot): deterministic, and
+    independent across slots."""
+    rng = np.random.default_rng((int(master_seed), int(period), int(slot)))
+    return rng.random(num_nodes)

@@ -1,26 +1,41 @@
-"""Request-atomic packet-level simulator.
+"""Packet-level simulator with request-atomic and hop-synchronous walks.
 
 Requests arrive per (node, item) as Poisson processes.  Each slot draws its
 arrivals at once: the count from Poisson(Lambda * t_slot), where Lambda is
 the total request rate, each arrival's (node, item) pair from one
 categorical draw over the pairs with a positive rate, and its time as a
-sorted uniform.  Each arrival is then walked in one call: forwarded hop by
-hop with token-based randomized forwarding until a cache hit or a designated
-server, and its response retraces the path in reverse.  Per-link response
-counts over monitor windows give the measured flows and costs.  Strategies
-are re-rounded into cache decisions at every slot start and updated by the
+sorted uniform.  A request is forwarded hop by hop with token-based
+randomized forwarding until a cache hit or a designated server, and its
+response retraces the path in reverse.  Per-link response counts over
+monitor windows give the measured flows and costs.  Strategies are
+re-rounded into cache decisions at every slot start and updated by the
 active policy at every update slot (the last slot of a period).
+
+There are two walks, and the policy's ``slot_hits`` hook picks one for the
+run:
+
+- **The array walk** (``arraywalk.ArrayWalk``), for policies whose cache
+  hits and routing stay fixed within a slot (``slot_hits`` returns the
+  slot's (C, V) hit mask: the relaxed-strategy policies and CostGreedy).
+  A slot's requests are walked together after its arrivals are drawn:
+  every live request advances one hop per numpy step, with a hit test
+  against the mask (caches or servers), a token draw from the array token
+  pools and the next node.  One backward pass over the stored steps then
+  gives the response hops and their path costs.
+- **The request-atomic walk** (``slot_hits`` returns None; the eviction
+  policies, whose state changes per request).  Each arrival is walked in
+  one call, and every per-hop hook of the policy is called.
 
 Only arrivals and the slot and window boundaries drive the loop; there is no
 event queue.  The fixed hop latency only stamps hops: hop h of a request
 that arrived at t0 (its response hops continue the count) is stamped
 t0 + h * hop_latency, and that stamp alone decides which monitor window the
 hop is counted in and whether it falls in a measured slot.  A hop stamped
-past the current window or slot waits in a small buffer until the loop
-reaches it.  A request whose next stamp reaches the end of the run stops
-there and counts as in flight.  A walk sees the caches and routing of the
-moment its request arrived.  All costs are computed from counted flows,
-never from simulated latency.
+past the current window or slot is held until the loop reaches it.  A
+request whose next stamp reaches the end of the run stops there and counts
+as in flight.  A walk sees the caches and routing of the moment its request
+arrived.  All costs are computed from counted flows, never from simulated
+latency.
 """
 
 from __future__ import annotations
@@ -30,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arraywalk import ArrayWalk, TokenPools
 from .errors import require_count, require_finite_positive
 
 N_TOKEN = 50
@@ -113,12 +129,15 @@ class SimulationRun:
 class Simulator:
     """One run of one scenario under one policy.
 
-    The run is cut into segments by the window and slot boundaries.  Hops
-    stamped inside the current segment are appended to plain lists (the
-    response link, the (item, node) of a visit, the miss cost paid at a
-    node) and folded into the count arrays with ``np.bincount`` every
-    ``FOLD_EVERY`` arrivals and when the segment ends, before the
-    boundary's policy hooks run.
+    The run is cut into segments by the window and slot boundaries.  The
+    request-atomic walk appends the hops stamped inside the current segment
+    to plain lists (the response link, the (item, node) of a visit, the
+    miss cost paid at a node) and folds them into the count arrays with
+    ``np.bincount`` every ``FOLD_EVERY`` arrivals and when the segment ends,
+    before the boundary's policy hooks run.  The array walk keeps each
+    slot's hops as arrays, with the window and slot of each stamp, and
+    folds a window's or slot's hops when the loop reaches its end
+    (``arraywalk.ArrayWalk``).
     """
 
     def __init__(self, scenario, policy, schedule, seed, trace=None,
@@ -136,6 +155,7 @@ class Simulator:
         self.num_nodes = V
         self.d_weights = scenario.cost.link_deriv(np.zeros(top.num_links))
         self.pools = {}   # item * V + node -> its unused next-hop tokens
+        self.tokens = None   # the array walk's TokenPools
         self.window_counts = np.zeros(top.num_links)
         self.period_counts = np.zeros(top.num_links)
         self.period_arrivals = np.zeros((C, V))
@@ -196,51 +216,12 @@ class Simulator:
     # -- the run -----------------------------------------------------------
 
     def run(self):
-        sched = self.schedule
-        dem = self.scenario.demand
-        rates = dem.rates.ravel()
-        pairs = np.flatnonzero(rates > 0)   # flat (item, node)
-        cum = np.cumsum(rates[pairs])
-        total = float(cum[-1]) if pairs.size else 0.0
-        V = self.scenario.topology.num_nodes
-        rng = self.rng
         self.policy.setup(self.scenario, self)
         self.policy.on_slot(0, 0)
-        walk = self._walker()
-
-        n_slots = sched.periods * sched.slots_per_period
-        stop = self.stop
-        for slot in range(n_slots if total > 0 else 0):
-            start = slot * sched.t_slot
-            if start >= stop:
-                break
-            n = int(rng.poisson(total * sched.t_slot))
-            times = start + np.sort(rng.random(n)) * sched.t_slot
-            picks = pairs[np.searchsorted(cum, rng.random(n) * total,
-                                          side="right")]
-            n = int(np.searchsorted(times, stop))   # none issued past the end
-            self.requests_issued += n
-            item, node = np.divmod(picks[:n], V)
-            # a chunk of arrivals at a time, folding after each, keeps the
-            # per-hop lists short
-            for lo in range(0, n, FOLD_EVERY):
-                hi = lo + FOLD_EVERY
-                seg_end = self.seg_end
-                for t0, k, i in zip(times[lo:hi].tolist(), item[lo:hi].tolist(),
-                                    node[lo:hi].tolist()):
-                    if t0 >= seg_end:
-                        self._advance(t0)
-                        seg_end = self.seg_end
-                    walk(t0, k, i, seg_end)
-                self._fold()
-
-        self._advance(stop)
-        self._fold()
-        self.pools.clear()   # the token pools live for one run
-        while self.window_idx < self.n_windows:
-            self._flush_window(self.window_idx,
-                               (self.window_idx + 1) * sched.t_monitor)
-            self.window_idx += 1
+        if self.policy.slot_hits() is None:
+            self._run_request_walk()
+        else:
+            self._run_array_walk()
         return SimulationRun(
             records=self.records,
             policy=self.policy,
@@ -251,6 +232,54 @@ class Simulator:
             miss_cost=self.miss_cost,
             miss_cost_item=self.miss_cost_item,
         )
+
+    def _arrivals(self):
+        """Each slot's arrivals, drawn when the loop reaches the slot:
+        (slot end, times in order, items, nodes), none at or past the end
+        of the run."""
+        sched = self.schedule
+        rates = self.scenario.demand.rates.ravel()
+        pairs = np.flatnonzero(rates > 0)   # flat (item, node)
+        cum = np.cumsum(rates[pairs])
+        total = float(cum[-1]) if pairs.size else 0.0
+        V = self.num_nodes
+        rng = self.rng
+        n_slots = sched.periods * sched.slots_per_period
+        for slot in range(n_slots if total > 0 else 0):
+            start = slot * sched.t_slot
+            if start >= self.stop:
+                break
+            n = int(rng.poisson(total * sched.t_slot))
+            times = start + np.sort(rng.random(n)) * sched.t_slot
+            picks = pairs[np.searchsorted(cum, rng.random(n) * total,
+                                          side="right")]
+            n = int(np.searchsorted(times, self.stop))   # none issued past the end
+            self.requests_issued += n
+            item, node = np.divmod(picks[:n], V)
+            yield (slot + 1) * sched.t_slot, times[:n], item, node
+
+    def _run_request_walk(self):
+        walk = self._walker()
+        for _, times, item, node in self._arrivals():
+            # a chunk of arrivals at a time, folding after each, keeps the
+            # per-hop lists short
+            for lo in range(0, times.size, FOLD_EVERY):
+                hi = lo + FOLD_EVERY
+                seg_end = self.seg_end
+                for t0, k, i in zip(times[lo:hi].tolist(), item[lo:hi].tolist(),
+                                    node[lo:hi].tolist()):
+                    if t0 >= seg_end:
+                        self._advance(t0)
+                        seg_end = self.seg_end
+                    walk(t0, k, i, seg_end)
+                self._fold()
+        self._advance(self.stop)
+        self._fold()
+        self.pools.clear()   # the token pools live for one run
+        while self.window_idx < self.n_windows:
+            self._flush_window(self.window_idx,
+                               (self.window_idx + 1) * self.schedule.t_monitor)
+            self.window_idx += 1
 
     def _walker(self):
         """walk(t0, k, node, seg_end): the request for item k born at node
@@ -342,6 +371,20 @@ class Simulator:
         self.pending.append((stamp, kind, a, b, c))
         return True
 
+    # -- the array walk ------------------------------------------------------
+
+    def _run_array_walk(self):
+        top, dem = self.scenario.topology, self.scenario.demand
+        self.tokens = TokenPools(top, dem.num_items, N_TOKEN, self.rng)
+        self.tokens.rebuild(self.policy.routing_array())
+        walk = ArrayWalk(self)
+        for end, times, item, node in self._arrivals():
+            walk.walk(end, times, item, node)
+            walk.advance(min(end, self.stop))
+        walk.advance(self.stop)
+        walk.finish()
+        self.tokens = None   # the token pools live for one run
+
     # -- boundaries --------------------------------------------------------
 
     def _advance(self, until):
@@ -422,6 +465,8 @@ class Simulator:
             self.period_counts[:] = 0.0
             self.period_arrivals[:] = 0.0
             self.measure_active = True
+            if self.tokens is not None:
+                self.tokens.rebuild(self.policy.routing_array())
         if slot == L - 1 and L > 1:
             # entering the update slot: freeze this period's measurement
             self.measure_active = False

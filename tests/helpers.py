@@ -21,7 +21,6 @@ from cachenet.network import (
 )
 from cachenet.rounding import build_bar_map, sample_decision
 from cachenet.scenarios import build_topology, zipf_weights
-from cachenet.policies import CostGreedyPolicy, RelaxedStrategyPolicy
 from cachenet.sim import (
     _RESPONSE,
     _UNROUTABLE,
@@ -963,21 +962,11 @@ class ParentTokenPool:
         self.shuffled = len(counts) < 2
 
 
-def parent_is_hit(policy):
-    """``is_hit`` reading the policy's numpy cache decisions per call."""
-    if isinstance(policy, RelaxedStrategyPolicy):
-        return lambda node, item: bool(policy.x[item, node])
-    if isinstance(policy, CostGreedyPolicy):
-        return lambda node, item: bool(policy.cached[item, node])
-    return policy.is_hit
-
-
 class ParentWalkSimulator(Simulator):
-    """The request walk before its per-hop tables: ``ParentTokenPool``s
-    keyed by (node, item) tuples, each response link looked up as
-    ``edge_index[(nxt, node)]`` and cache hits read from the numpy
-    decisions.  Same rng calls, so it must reproduce ``Simulator`` bit for
-    bit."""
+    """The request-atomic walk before its per-hop tables:
+    ``ParentTokenPool``s keyed by (node, item) tuples and each response link
+    looked up as ``edge_index[(nxt, node)]``.  Same rng calls, so it must
+    reproduce ``Simulator``'s request-atomic walk bit for bit."""
 
     def token_forward(self, node, item):
         pool = self.pools.get((node, item))
@@ -997,7 +986,7 @@ class ParentWalkSimulator(Simulator):
         top, dem = self.scenario.topology, self.scenario.demand
         V = top.num_nodes
         policy = self.policy
-        is_hit, on_hit = parent_is_hit(policy), policy.on_hit
+        is_hit, on_hit = policy.is_hit, policy.on_hit
         on_response_pass = policy.on_response_pass
         token_forward = self.token_forward
         servers = dem.servers

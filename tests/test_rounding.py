@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cachenet.rounding import build_bar_map, sample_decision, slot_uniform
+from cachenet.rounding import build_bar_map, sample_decision, slot_uniforms
 
 from helpers import reference_bar_decision, reference_bar_intervals
 
@@ -75,12 +75,18 @@ class TestSampleDecision:
             assert abs(means[k] - FIG_Y[k]) <= 3 * se + 1e-12
 
     def test_slot_uniform_deterministic(self):
-        a = slot_uniform(42, node=3, period=7, slot=2)
-        b = slot_uniform(42, node=3, period=7, slot=2)
-        c = slot_uniform(42, node=3, period=7, slot=3)
-        assert a == b
-        assert a != c
-        assert 0.0 <= a < 1.0
+        # one generator per (seed, period, slot) gives every node's position
+        a = slot_uniforms(42, period=7, slot=2, num_nodes=25)
+        b = slot_uniforms(42, period=7, slot=2, num_nodes=25)
+        c = slot_uniforms(42, period=7, slot=3, num_nodes=25)
+        d = slot_uniforms(42, period=8, slot=2, num_nodes=25)
+        e = slot_uniforms(43, period=7, slot=2, num_nodes=25)
+        assert a.shape == (25,)
+        assert np.array_equal(a, b)
+        assert not np.isin(a, c).any() and not np.isin(a, d).any()
+        assert not np.isin(a, e).any()
+        assert ((0.0 <= a) & (a < 1.0)).all()
+        assert len(np.unique(a)) == 25
 
 
 def _random_caching(rng, shape):

@@ -24,7 +24,9 @@ from cachenet.policies import (
     flow_costgreedy,
     make_policy,
 )
+from cachenet.arraywalk import TokenPools, apportion_table
 from cachenet.sim import (
+    N_TOKEN,
     SimSchedule,
     Simulator,
     apportion_tokens,
@@ -87,6 +89,90 @@ class TestTokens:
         # the 51st draw finds the pool empty and refills it
         assert sim.token_forward(0, 0) in (1, 2)
         assert pol.refills == 2 and len(sim.pools[0]) == 49
+
+
+def star_topology(n_leaves):
+    """Node 0 linked both ways to nodes 1..n_leaves."""
+    from cachenet.network import Topology
+
+    return Topology(n_leaves + 1, [(a, b) for j in range(1, n_leaves + 1)
+                                   for a, b in ((0, j), (j, 0))])
+
+
+class TestTokenPools:
+    """The array walk's token pools against ``apportion_tokens``."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "thirds", "tenths", "sparse",
+                                      "single", "many"])
+    def test_table_matches_apportion_tokens(self, kind):
+        rng = np.random.default_rng(["uniform", "thirds", "tenths", "sparse",
+                                     "single", "many"].index(kind))
+        D = 60 if kind == "many" else 7
+        shape = (400, D)
+        if kind == "uniform":
+            w = rng.random(shape)
+        elif kind == "thirds":   # equal remainders everywhere
+            w = rng.integers(0, 4, shape) / 3.0
+        elif kind == "tenths":
+            w = rng.choice([0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 1e-300], size=shape)
+        elif kind == "sparse":   # rows that sum to one, with zeros
+            w = rng.dirichlet(np.ones(D), size=shape[0]) * (rng.random(shape) < 0.5)
+        elif kind == "single":
+            w = np.zeros(shape)
+            w[np.arange(shape[0]), rng.integers(0, D, shape[0])] = rng.random(shape[0])
+        else:   # more next hops than tokens, many of them tied
+            w = rng.choice([0.0, 0.01, 0.02, 1 / 60], size=shape)
+        w[0] = 0.0   # a pool with no routing
+        counts = apportion_table(w, N_TOKEN)
+        for row, got in zip(w, counts):
+            want = apportion_tokens([(j, float(x)) for j, x in enumerate(row)
+                                     if x > 0])
+            assert {j: int(c) for j, c in enumerate(got) if c} == want
+            assert got.sum() == (N_TOKEN if want else 0)
+
+    def test_pools_are_cursors_into_their_refills(self):
+        # node 0 of a 4-leaf star splits item 0 over leaves 1-3 and sends
+        # item 1 to leaf 4; requests at the two pools come interleaved, in
+        # uneven steps
+        top = star_topology(4)
+        w = np.zeros((2, top.num_links))
+        for j, x in ((1, 0.5), (2, 0.3), (3, 0.2)):
+            w[0, top.edge_index[(0, j)]] = x
+        w[1, top.edge_index[(0, 4)]] = 1.0
+        pools = TokenPools(top, 2, N_TOKEN, np.random.default_rng(5))
+        pools.rebuild(w)
+        V = top.num_nodes
+        rng = np.random.default_rng(6)
+        drawn = {0: [], V: []}
+        for size in (1, 7, 49, 3, 120, 20, 50):
+            pool = rng.choice([0, V], size=size)
+            tok = pools.draw(pool)
+            for p in drawn:
+                drawn[p].extend(tok[pool == p].tolist())
+        split = [np.array(drawn[0][lo:lo + N_TOKEN])
+                 for lo in range(0, len(drawn[0]) - N_TOKEN + 1, N_TOKEN)]
+        assert len(split) >= 2
+        for refill in split:   # each refill is the apportioned split
+            assert np.bincount(refill, minlength=4).tolist() == [25, 15, 10, 0]
+        assert any((np.diff(r) < 0).any() for r in split)   # and permuted
+        assert set(drawn[V]) == {3}
+        # a pool with no routing and no tokens left gives "no token"
+        assert pools.draw(np.array([1, 0]))[0] == pools.width
+
+    def test_rebuild_keeps_the_tokens_left(self):
+        top = star_topology(2)
+        w = np.zeros((1, top.num_links))
+        w[0, top.edge_index[(0, 1)]] = 1.0
+        pools = TokenPools(top, 1, N_TOKEN, np.random.default_rng(1))
+        pools.rebuild(w)
+        first = pools.draw(np.zeros(10, dtype=np.intp))
+        w[0] = 0.0
+        w[0, top.edge_index[(0, 2)]] = 1.0
+        pools.rebuild(w)
+        rest = pools.draw(np.zeros(2 * N_TOKEN, dtype=np.intp))
+        assert set(first.tolist()) == {0}
+        assert rest[:N_TOKEN - 10].tolist() == [0] * (N_TOKEN - 10)
+        assert set(rest[N_TOKEN - 10:].tolist()) == {1}
 
 
 class TestSchedule:
@@ -527,12 +613,22 @@ class TestGpInSim:
         assert abs(measured - mean) <= band + 1e-9
 
 
+def request_walk(policy):
+    """``policy``, made to select the request-atomic walk for its runs."""
+    policy.slot_hits = lambda: None
+    return policy
+
+
 class CountingPolicy(FrozenStrategyPolicy):
-    """A frozen strategy that counts the response hops it is told about."""
+    """A frozen strategy that counts the response hops it is told about; a
+    per-hop hook, so it selects the request-atomic walk."""
 
     def __init__(self, strategy):
         super().__init__(strategy)
         self.response_passes = 0
+
+    def slot_hits(self):
+        return None
 
     def on_response_pass(self, node, item):
         self.response_passes += 1
@@ -545,14 +641,17 @@ class LoopingPolicy(FrozenStrategyPolicy):
     def routing_weights(self, node, item):
         return []
 
+    def routing_array(self):
+        return np.zeros_like(self.strategy.phi)
+
     def failsafe_neighbors(self, node, item):
         return [1 - node] if node < 2 else []
 
 
-def _window_costs(runner, scen, strategy, sched, seeds):
+def _window_costs(runner, scen, make_policy, sched, seeds):
     return np.concatenate([
         [r.measured_total for r in
-         runner(scen, FrozenStrategyPolicy(strategy), sched, seed).records]
+         runner(scen, make_policy(), sched, seed).records]
         for seed in seeds
     ])
 
@@ -561,9 +660,14 @@ class TestRequestWalk:
     """The request-atomic walk against the event-queue reference
     (``helpers.reference_run_simulation``), and its exact identities."""
 
-    def _assert_same_mean(self, scen, strategy, sched, seeds):
-        new = _window_costs(run_simulation, scen, strategy, sched, seeds)
-        ref = _window_costs(reference_run_simulation, scen, strategy, sched,
+    @staticmethod
+    def _assert_same_mean(scen, policy, sched, seeds):
+        """``policy`` is a strategy to freeze or a zero-argument factory."""
+        if not callable(policy):
+            strategy = policy
+            policy = lambda: FrozenStrategyPolicy(strategy)
+        new = _window_costs(run_simulation, scen, policy, sched, seeds)
+        ref = _window_costs(reference_run_simulation, scen, policy, sched,
                             seeds)
         sigma = np.sqrt(new.var(ddof=1) / new.size + ref.var(ddof=1) / ref.size)
         assert abs(new.mean() - ref.mean()) <= 3 * sigma
@@ -653,6 +757,120 @@ class TestRequestWalk:
         np.testing.assert_allclose(got, expect)
 
 
+def _sp_strategy(scen, cached):
+    """The shortest-path strategy; with ``cached``, also y = 1 at about one
+    in seven non-server (item, node) pairs, which then route nothing."""
+    top = scen.topology
+    strat = shortest_path_strategy(top, scen.demand, scen.cost)
+    if cached:
+        pick = ((np.random.default_rng(0).random(strat.y.shape) < 0.15)
+                & ~scen.demand.server_mask)
+        strat.y[pick] = 1.0
+        strat.phi[pick[:, top.src]] = 0.0
+    return strat
+
+
+@pytest.fixture(scope="module")
+def gp_strategies(preset_scenarios):
+    """A fractional GP strategy per preset, to freeze."""
+    return {name: run_gp(scen.topology, scen.demand, scen.cost,
+                         GPConfig(alpha=0.05, max_periods=60)).strategy
+            for name, scen in preset_scenarios.items()}
+
+
+class TestArrayWalk:
+    """The array walk against the request-atomic walk and the event-queue
+    reference."""
+
+    SCHEDULES = {
+        # hops 0.13 apart straddle 0.7-long windows and 1-long slots
+        "straddle": SimSchedule(t_slot=1.0, slots_per_period=3, periods=3,
+                                t_monitor=0.7, hop_latency=0.13),
+        # 22 windows of 0.4 end the run at 8.8, inside its last slot
+        "short": SimSchedule(t_slot=1.0, slots_per_period=3, periods=3,
+                             t_monitor=0.4, hop_latency=0.05),
+    }
+
+    @pytest.mark.parametrize("sched", ["straddle", "short"])
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("scen_name", ["grid-25", "fog", "full-tree"])
+    def test_integral_strategy_matches_request_walk(self, preset_scenarios,
+                                                    scen_name, cached, sched):
+        # with 0/1 routing and integral caches no refill is permuted and no
+        # rounding is random, so both walks see the same arrivals and take
+        # the same paths: every output agrees bit for bit, the miss costs
+        # up to their order of summation, and the traces line for line
+        import io
+
+        scen = preset_scenarios[scen_name]
+        strat = _sp_strategy(scen, cached)
+        sched = self.SCHEDULES[sched]
+        runs, traces = [], []
+        for pol in (FrozenStrategyPolicy(strat),
+                    request_walk(FrozenStrategyPolicy(strat))):
+            traces.append(io.StringIO())
+            runs.append(run_simulation(scen, pol, sched, seed=5,
+                                       trace=traces[-1], keep_flow_samples=True))
+        array, scalar = runs
+        assert array.requests_issued > 1000 and array.in_flight > 0
+        assert sum(r.total_cache_size for r in array.records) > 0 or not cached
+        _assert_runs_identical(array, scalar, miss_rtol=1e-12)
+        lines = [sorted(t.getvalue().splitlines()) for t in traces]
+        assert lines[0] == lines[1] and len(lines[0]) > array.requests_issued
+
+    def test_failsafe_loop_matches_request_walk(self):
+        # every hop is unroutable and bounces between nodes 0 and 1 until
+        # the run ends; no token is drawn, so both walks agree exactly
+        scen = line_scenario(rate=2.0)
+        sched = SimSchedule(t_slot=1.0, slots_per_period=2, periods=2,
+                            hop_latency=0.05)
+        strat = Strategy.from_dicts(scen.topology, 1)
+        array = run_simulation(scen, LoopingPolicy(strat), sched, seed=3)
+        scalar = run_simulation(scen, request_walk(LoopingPolicy(strat)), sched,
+                                seed=3)
+        assert array.in_flight == array.requests_issued > 0
+        assert array.unroutable_total >= array.requests_issued
+        _assert_runs_identical(array, scalar)
+
+    def test_trace_does_not_change_the_run(self):
+        import io
+        import re
+
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+        sched = SimSchedule(t_slot=2.0, slots_per_period=2, periods=3,
+                            hop_latency=0.05)
+        trace = io.StringIO()
+        traced, plain = (
+            run_simulation(scen, make_policy("gp", alpha=0.05), sched, seed=3,
+                           trace=out, keep_flow_samples=True)
+            for out in (trace, None))
+        _assert_runs_identical(traced, plain)
+        lines = trace.getvalue().splitlines()
+        form = re.compile(r"\d+\.\d{6} (fwd node=\d+ item=\d+ to=\d+"
+                          r"|(hit|server) node=\d+ item=\d+)")
+        assert all(form.fullmatch(line) for line in lines)
+        kinds = [line.split()[1] for line in lines]
+        ends = kinds.count("hit") + kinds.count("server")
+        assert kinds.count("hit") > 0
+        assert traced.responses_delivered <= ends <= traced.requests_issued
+
+    @pytest.mark.parametrize("scen_name", ["grid-25", "fog", "full-tree"])
+    @pytest.mark.parametrize("policy", ["gp", "frozen", "gcfw", "costgreedy"])
+    def test_mean_window_cost_matches_reference(self, preset_scenarios,
+                                                gp_strategies, policy,
+                                                scen_name):
+        scen = preset_scenarios[scen_name]
+        if policy == "frozen":
+            strategy = gp_strategies[scen_name]
+            assert (strategy.y % 1.0 > 0).any()   # fractional caches
+            make = lambda: FrozenStrategyPolicy(strategy)
+        else:
+            make = lambda: make_policy(policy, alpha=0.05, N=10)
+        sched = SimSchedule(t_slot=2.0, slots_per_period=2, periods=3,
+                            t_monitor=0.25)
+        TestRequestWalk._assert_same_mean(scen, make, sched, seeds=(1, 2))
+
+
 class TestSimulatorLifetime:
     def test_simulator_freed_by_reference_counting(self):
         # the policy keeps a reference to its simulator only during the run,
@@ -692,7 +910,9 @@ def _policy_state(pol):
     return state
 
 
-def _assert_runs_identical(new, ref):
+def _assert_runs_identical(new, ref, miss_rtol=0.0):
+    """Every output equal bit for bit; the miss costs, sums of the same
+    terms, within ``miss_rtol`` of each other when it is positive."""
     assert len(new.records) == len(ref.records) > 0
     for a, b in zip(new.records, ref.records):
         for f in dataclasses.fields(a):
@@ -704,8 +924,12 @@ def _assert_runs_identical(new, ref):
     for name in ("requests_issued", "responses_delivered", "in_flight",
                  "unroutable_total"):
         assert getattr(new, name) == getattr(ref, name), name
-    assert np.array_equal(new.miss_cost, ref.miss_cost)
-    assert np.array_equal(new.miss_cost_item, ref.miss_cost_item)
+    for name in ("miss_cost", "miss_cost_item"):
+        got, want = getattr(new, name), getattr(ref, name)
+        if miss_rtol:
+            np.testing.assert_allclose(got, want, rtol=miss_rtol, atol=0)
+        else:
+            assert np.array_equal(got, want), name
     got, want = _policy_state(new.policy), _policy_state(ref.policy)
     assert got.keys() == want.keys()
     for key in got:
@@ -721,11 +945,20 @@ def preset_scenarios():
             for name in ("grid-25", "fog", "full-tree")}
 
 
+# the policies whose runs take the array walk
+ARRAY_WALK = ("gp", "gcfw", "costgreedy")
+
+
 class TestParentWalk:
-    """The walk with its per-hop tables (flat-keyed token lists, per-node
-    response links, list-backed cache hits) against the walk without them
+    """The request-atomic walk with its per-hop tables (flat-keyed token
+    lists, per-node response links) against the walk without them
     (``helpers.ParentWalkSimulator``): the same rng calls in the same order,
-    so every output matches bit for bit."""
+    so every output matches bit for bit.
+
+    Both simulators inherit ``Simulator.run``, so the policies that take the
+    array walk are made to select the request-atomic walk here; otherwise
+    both runs would take the array walk and the case would test nothing.
+    """
 
     @pytest.mark.parametrize("seed", [3, 8])
     @pytest.mark.parametrize("scen_name", ["grid-25", "fog", "full-tree"])
@@ -736,11 +969,13 @@ class TestParentWalk:
         scen = preset_scenarios[scen_name]
         sched = SimSchedule(t_slot=1.0, slots_per_period=3, periods=3,
                             t_monitor=0.5, hop_latency=0.05)
-        runs = [
-            cls(scen, make_policy(policy, N=10), sched, seed,
-                keep_flow_samples=True).run()
-            for cls in (Simulator, ParentWalkSimulator)
-        ]
+        runs = []
+        for cls in (Simulator, ParentWalkSimulator):
+            pol = make_policy(policy, N=10)
+            if policy in ARRAY_WALK:
+                request_walk(pol)
+            runs.append(cls(scen, pol, sched, seed, keep_flow_samples=True).run())
+            assert pol.slot_hits() is None
         assert runs[0].requests_issued > 100
         _assert_runs_identical(*runs)
 
