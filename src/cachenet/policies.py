@@ -82,7 +82,6 @@ class RelaxedStrategyPolicy(SimPolicy):
     def setup(self, scenario, sim):
         super().setup(scenario, sim)
         self.strategy = self.initial_strategy(scenario)
-        self._rebuild_bar_maps()
         C, V = scenario.demand.num_items, scenario.topology.num_nodes
         self.x = np.zeros((C, V), dtype=np.int8)
         self._theory = None
@@ -90,14 +89,11 @@ class RelaxedStrategyPolicy(SimPolicy):
     def initial_strategy(self, scenario):
         raise NotImplementedError
 
-    def _rebuild_bar_maps(self):
-        self.bar_map = build_bar_map(self.strategy.y)   # one column per node
-        self._theory = None
-
     def on_slot(self, period, slot):
+        # the bars are laid out from the y in force (one column per node)
         u = slot_uniforms(self.sim.seed, period, slot,
                           self.scenario.topology.num_nodes)
-        self.x[:] = sample_decision(self.bar_map, u)
+        self.x[:] = sample_decision(build_bar_map(self.strategy.y), u)
 
     def slot_hits(self):
         return self.x.view(bool)
@@ -196,7 +192,7 @@ class GPOnlinePolicy(RelaxedStrategyPolicy):
         if self.blocked_mode == "dynamic":
             self.blocked = dynamic_blocked_sets(top, dem, self.strategy,
                                                 previous=self.blocked)
-        self._rebuild_bar_maps()
+        self._theory = None
         return dem.num_items * top.num_links
 
 
