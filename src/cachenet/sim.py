@@ -134,10 +134,11 @@ class Simulator:
     to plain lists (the response link, the (item, node) of a visit, the
     miss cost paid at a node) and folds them into the count arrays with
     ``np.bincount`` every ``FOLD_EVERY`` arrivals and when the segment ends,
-    before the boundary's policy hooks run.  The array walk keeps each
-    slot's hops as arrays, with the window and slot of each stamp, and
-    folds a window's or slot's hops when the loop reaches its end
-    (``arraywalk.ArrayWalk``).
+    before the boundary's policy hooks run.  The array walk
+    (``arraywalk.ArrayWalk``) counts a slot's hops stamped inside the
+    segment the slot starts in as soon as the slot is walked, and holds the
+    later ones, with the window and slot of each stamp, until the loop
+    reaches them.
     """
 
     def __init__(self, scenario, policy, schedule, seed, trace=None,

@@ -648,26 +648,23 @@ class LoopingPolicy(FrozenStrategyPolicy):
         return [1 - node] if node < 2 else []
 
 
-def _window_costs(runner, scen, make_policy, sched, seeds):
+def _window_costs(runner, scen, new_policy, sched, seeds):
     return np.concatenate([
         [r.measured_total for r in
-         runner(scen, make_policy(), sched, seed).records]
+         runner(scen, new_policy(), sched, seed).records]
         for seed in seeds
     ])
 
 
 class TestRequestWalk:
-    """The request-atomic walk against the event-queue reference
-    (``helpers.reference_run_simulation``), and its exact identities."""
+    """The simulator's walks against the event-queue reference
+    (``helpers.reference_run_simulation``), and their exact identities."""
 
     @staticmethod
-    def _assert_same_mean(scen, policy, sched, seeds):
-        """``policy`` is a strategy to freeze or a zero-argument factory."""
-        if not callable(policy):
-            strategy = policy
-            policy = lambda: FrozenStrategyPolicy(strategy)
-        new = _window_costs(run_simulation, scen, policy, sched, seeds)
-        ref = _window_costs(reference_run_simulation, scen, policy, sched,
+    def _assert_same_mean(scen, new_policy, sched, seeds):
+        """``new_policy()`` makes a fresh policy for each run."""
+        new = _window_costs(run_simulation, scen, new_policy, sched, seeds)
+        ref = _window_costs(reference_run_simulation, scen, new_policy, sched,
                             seeds)
         sigma = np.sqrt(new.var(ddof=1) / new.size + ref.var(ddof=1) / ref.size)
         assert abs(new.mean() - ref.mean()) <= 3 * sigma
@@ -680,7 +677,8 @@ class TestRequestWalk:
             y={(0, 0): 0.5, (1, 0): 0.2},
         )
         sched = SimSchedule(t_slot=5.0, slots_per_period=4, periods=30)
-        self._assert_same_mean(scen, strat, sched, seeds=(1, 2, 3))
+        self._assert_same_mean(scen, lambda: FrozenStrategyPolicy(strat),
+                               sched, seeds=(1, 2, 3))
 
     def test_grid25_mean_window_cost_matches_reference(self):
         scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
@@ -689,7 +687,8 @@ class TestRequestWalk:
         assert (traj.strategy.y % 1.0 > 0).any()   # fractional caches
         sched = SimSchedule(t_slot=10.0, slots_per_period=2, periods=4,
                             t_monitor=2.5)
-        self._assert_same_mean(scen, traj.strategy, sched, seeds=(1, 2, 3))
+        self._assert_same_mean(scen, lambda: FrozenStrategyPolicy(traj.strategy),
+                               sched, seeds=(1, 2, 3))
 
     def test_window_counts_equal_response_hops(self):
         scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=2)
