@@ -25,6 +25,7 @@ from .blocking import BlockedSets, dynamic_blocked_sets, static_blocked_sets
 from .gp import (
     GPConfig,
     GPTrajectory,
+    gp_period,
     gp_step,
     message_counts,
     run_gp,
@@ -69,6 +70,7 @@ __all__ = [
     "eval_gain",
     "gcfw",
     "generate_scenario",
+    "gp_period",
     "gp_step",
     "grad_gain",
     "linear_cache_costs",

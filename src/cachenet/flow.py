@@ -50,7 +50,8 @@ class Strategy:
 
 @dataclass
 class ValidationReport:
-    """Outcome of validate_strategy: all violated constraints with magnitudes."""
+    """Outcome of validate_strategy: all violated constraints with magnitudes
+    (``worst`` is 0.0 when none exceeds the tolerance)."""
 
     passed: bool
     worst: float
@@ -61,34 +62,61 @@ def validate_strategy(topology, demand, strategy, tol=1e-9):
     """Check box and flow-conservation constraints of a strategy.
 
     Reports every violated simplex/conservation constraint with its max
-    absolute violation; passes iff everything is within ``tol``.
+    absolute violation; passes iff everything is within ``tol``.  The
+    worst violation is found first, and the constraints are itemized only
+    when it exceeds ``tol``.
     """
     if strategy.num_items != demand.num_items:
         raise StructuralError("strategy and demand disagree on catalog size")
-    if strategy.topology.num_nodes != topology.num_nodes:
+    top = strategy.topology
+    if top is not topology and not (
+            top.num_nodes == topology.num_nodes
+            and np.array_equal(top.src, topology.src)
+            and np.array_equal(top.dst, topology.dst)):
         raise StructuralError("strategy built for a different topology")
     phi, y = strategy.phi, strategy.y
-    violations = []
+    C, V = y.shape
 
+    # conservation: sum of phi out of node i plus y, per item; servers are
+    # forced to y = 0 and no forwarding
+    out_sum = np.bincount((np.arange(C)[:, None] * V + topology.src).ravel(),
+                          phi.ravel(), minlength=C * V).reshape(C, V)
+    servers = demand.server_mask
+    off = np.abs(out_sum + y - 1.0)
+    worst = max(-phi.min(initial=0.0), phi.max(initial=1.0) - 1.0,
+                -y.min(initial=0.0), y.max(initial=1.0) - 1.0,
+                np.where(servers, np.maximum(y, out_sum), off).max(initial=0.0))
+    if worst <= tol:
+        return ValidationReport(passed=True, worst=0.0)
+
+    violations = []
     for arr, name in ((phi, "phi"), (y, "y")):
         low = np.minimum(arr, 0.0)
         high = np.maximum(arr - 1.0, 0.0)
         for k, idx in zip(*np.nonzero((low < -tol) | (high > tol))):
             mag = max(-low[k, idx], high[k, idx])
             violations.append(("box", (name, int(idx), int(k)), float(mag)))
-
-    # conservation: sum of phi out of node i plus y, per item; servers are
-    # forced to y = 0 and no forwarding.  Listed by item, node, then kind.
-    out_sum = fold_out_links(topology.src, phi, np.add, np.zeros_like(y))
-    servers = demand.server_mask[:, :, None]
-    mags = np.stack([y, out_sum, np.abs(out_sum + y - 1.0)], axis=-1)
-    bad = np.where(servers, [True, True, False], [False, False, True]) & (mags > tol)
+    # listed by item, node, then kind
+    mags = np.stack([y, out_sum, off], axis=-1)
+    kind = np.where(servers[:, :, None], [True, True, False], [False, False, True])
+    bad = kind & (mags > tol)
     kinds = ("server_cache", "server_forward", "conservation")
     for k, i, kind in zip(*np.nonzero(bad)):
         violations.append((kinds[kind], (int(i), int(k)), float(mags[k, i, kind])))
 
     worst = max((m for _, _, m in violations), default=0.0)
     return ValidationReport(passed=worst <= tol, worst=worst, violations=violations)
+
+
+def require_strategy(topology, demand, strategy, what):
+    """Raise StructuralError, naming ``what`` and its first violation, unless
+    ``strategy`` is a strategy of this instance (``validate_strategy``)."""
+    report = validate_strategy(topology, demand, strategy)
+    if not report.passed:
+        kind, where, mag = report.violations[0]
+        raise StructuralError(
+            f"{what} is not a strategy of this instance: {kind} violated "
+            f"by {mag:.3g} at {where}")
 
 
 @dataclass
@@ -105,8 +133,8 @@ class FlowState:
     for the (item, link) mask ``routed`` (phi != 0), a layout of that DAG
     or of one holding it.  ``compute_marginals`` sweeps that layout in
     reverse as it is, the pairs at phi <= PHI_ACTIVE weighted 0; a
-    FlowState built by hand (e.g. from measured flows) leaves them None and
-    the marginals lay the DAG out anew.
+    FlowState of measured flows (``gp.gp_period``) leaves them and f None,
+    and the marginals lay the DAG out anew.
     """
 
     t: np.ndarray

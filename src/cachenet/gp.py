@@ -24,7 +24,7 @@ from .errors import (
     require_count,
     require_finite_positive,
 )
-from .flow import T_ZERO, Strategy, solve_traffic
+from .flow import T_ZERO, FlowState, Strategy, require_strategy, solve_traffic
 from .marginals import PHI_ACTIVE, compute_marginals, vectorized_residuals
 
 
@@ -55,6 +55,7 @@ class GPConfig:
         if self.schedule not in ("synchronous", "round-robin", "random"):
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
         require_blocked_mode(self.blocked_mode)
+        require_count(self.seed, "random schedule seed", least=0)
 
 
 def gp_step(topology, demand, strategy, flow, marg, blocked, alpha, pairs):
@@ -211,6 +212,30 @@ def count_async_messages(topology, demand, strategy, blocked, node):
     return int(delivers.sum() + candidates.sum() - counted.sum())
 
 
+def gp_period(topology, demand, cost, strategy, static, last=(None, None, None),
+              measured=None):
+    """One GP period up to its step: (flows, blocked sets, marginals).
+
+    Flows: the traffic solve's (the ``last`` period's layout kept if the
+    routed mask is unchanged), or ``measured`` (F, t).  Sets: ``static``, or
+    dynamic ones from the strategy and this period's arrivals t, reusing
+    ``last``'s.  A divergent solve raises the LoopError dynamic sets find.
+    """
+    if measured is not None:   # no layout, no per-item flows f
+        flow = FlowState(t=measured[1], f=None, F=measured[0], Y=strategy.y.sum(axis=0),
+                         link_cost=np.nan, cache_cost=np.nan, total_cost=np.nan)
+    else:
+        try:
+            flow = solve_traffic(topology, demand, strategy, cost, static, previous=last[0])
+        except DivergentCirculationError:
+            if static is None:   # name the loop, as the sets would have
+                dynamic_blocked_sets(topology, demand, strategy)
+            raise
+    blocked = static if static is not None else dynamic_blocked_sets(
+        topology, demand, strategy, flow.t, previous=last[1])
+    return flow, blocked, compute_marginals(topology, demand, strategy, flow, cost, blocked)
+
+
 def run_gp(topology, demand, cost, config=None, initial_strategy=None):
     """Iterate gradient-projection periods until the restricted modified
     condition holds or the period budget runs out.
@@ -218,17 +243,12 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
     Static blocked sets are fixed for the run and read off the instance's
     zero-flow order, which is built once per instance and shared with
     ``shortest_path_strategy`` and every later call on the instance, as is
-    the layout of their unblocked DAG.  Per period: lay out each item's
-    routing DAG once (from that layout under static sets) and solve traffic
-    by a forward sweep over it, compute the dynamic blocked sets from the
-    arrival rates (dynamic mode only), get the marginals by a reverse sweep
-    over the same layout (the pairs at phi <= PHI_ACTIVE weighted 0), apply
-    one ``gp_step`` to the pairs the schedule selects (every pair with a
-    positive residual, or all items at one node), and record cost /
-    residual / broadcast-message counts.  The layout and the dynamic sets
-    of the last period are kept when their inputs have not changed.  A
-    routing loop (an item whose positive-phi subgraph is not a DAG) raises,
-    as a LoopError in dynamic mode.
+    the layout of their unblocked DAG.  Per period: one ``gp_period``, the
+    residuals, one ``gp_step`` of the pairs the schedule selects (every pair
+    with a positive residual, or all items at one node), and a record of
+    cost / residual / broadcast-message counts.  A routing loop (an item whose positive-phi subgraph is not a
+    DAG) raises, as a LoopError in dynamic mode.  An ``initial_strategy``
+    that is not a strategy of this instance raises StructuralError.
     """
     config = config or GPConfig()
     zero_b = cost.cache.deriv_is_zero()
@@ -238,11 +258,11 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
             "t=0 => y=0 implication of the modified condition is void there",
             stacklevel=2,
         )
-    strategy = (
-        initial_strategy.copy()
-        if initial_strategy is not None
-        else shortest_path_strategy(topology, demand, cost)
-    )
+    if initial_strategy is not None:
+        require_strategy(topology, demand, initial_strategy, "initial strategy")
+        strategy = initial_strategy.copy()
+    else:
+        strategy = shortest_path_strategy(topology, demand, cost)
     static = (
         static_blocked_sets(topology, demand, cost=cost)
         if config.blocked_mode == "static"
@@ -256,19 +276,9 @@ def run_gp(topology, demand, cost, config=None, initial_strategy=None):
     records = []
     initial_cost = None
     converged = False
-    flow = blocked = None
+    last = (None, None, None)
     for period in range(config.max_periods):
-        try:
-            flow = solve_traffic(topology, demand, strategy, cost, static,
-                                 previous=flow)
-        except DivergentCirculationError:
-            if static is None:   # name the loop, as the sets would have
-                dynamic_blocked_sets(topology, demand, strategy)
-            raise
-        blocked = static if static is not None else dynamic_blocked_sets(
-            topology, demand, strategy, flow.t, previous=blocked
-        )
-        marg = compute_marginals(topology, demand, strategy, flow, cost, blocked)
+        flow, blocked, marg = last = gp_period(topology, demand, cost, strategy, static, last)
         pair_resid, _, _ = vectorized_residuals(
             topology, demand, strategy, flow, marg, blocked
         )

@@ -11,9 +11,8 @@ import numpy as np
 from .blocking import dynamic_blocked_sets, static_blocked_sets
 from .errors import require_finite_positive
 from .fixedroute import FixedRoutingInstance, gcfw, require_iteration_count
-from .flow import FlowState, solve_traffic
-from .gp import gp_step, require_blocked_mode, shortest_path_strategy, sp_next_hops
-from .marginals import compute_marginals
+from .flow import require_strategy, solve_traffic
+from .gp import gp_period, gp_step, require_blocked_mode, shortest_path_strategy, sp_next_hops
 from .rounding import build_bar_map, sample_decision, slot_uniforms
 
 
@@ -125,7 +124,8 @@ class RelaxedStrategyPolicy(SimPolicy):
 
 
 class FrozenStrategyPolicy(RelaxedStrategyPolicy):
-    """Realize a fixed relaxed strategy (no updates)."""
+    """Realize a fixed relaxed strategy (no updates); one that is not a
+    strategy of the scenario raises StructuralError at set-up."""
 
     name = "frozen"
 
@@ -133,11 +133,24 @@ class FrozenStrategyPolicy(RelaxedStrategyPolicy):
         self._frozen = strategy
 
     def initial_strategy(self, scenario):
+        require_strategy(scenario.topology, scenario.demand, self._frozen,
+                         "frozen strategy")
         return self._frozen.copy()
 
 
 class GPOnlinePolicy(RelaxedStrategyPolicy):
-    """Online gradient projection driven by measured flows and arrivals."""
+    """Online gradient projection driven by measured flows and arrivals.
+
+    Each update is one ``gp.gp_period`` on the measured link flows F and
+    arrival rates t, the period ``run_gp`` runs on solved flows, then a
+    ``gp_step`` of every pair.  Dynamic blocked sets are built there from
+    the measured arrivals, before the marginals: a pair with no arrivals in
+    the measurement window counts as t = 0, and when it caches (y > 0)
+    with no unblocked out-link the sets' stranded-cache mending gives it
+    one.  The sets of the start strategy serve the failsafe until the first
+    update.  An ``initial`` strategy that is not a strategy of the scenario
+    raises StructuralError at set-up.
+    """
 
     name = "gp"
 
@@ -149,18 +162,16 @@ class GPOnlinePolicy(RelaxedStrategyPolicy):
         self._initial = initial
 
     def initial_strategy(self, scenario):
-        s = (
-            self._initial.copy()
-            if self._initial is not None
-            else shortest_path_strategy(
-                scenario.topology, scenario.demand, scenario.cost
-            )
-        )
+        top, dem = scenario.topology, scenario.demand
+        if self._initial is not None:
+            require_strategy(top, dem, self._initial, "initial strategy")
+            s = self._initial.copy()
+        else:
+            s = shortest_path_strategy(top, dem, scenario.cost)
         self.blocked = (
-            static_blocked_sets(scenario.topology, scenario.demand,
-                                cost=scenario.cost)
+            static_blocked_sets(top, dem, cost=scenario.cost)
             if self.blocked_mode == "static"
-            else dynamic_blocked_sets(scenario.topology, scenario.demand, s)
+            else dynamic_blocked_sets(top, dem, s)
         )
         return s
 
@@ -173,25 +184,13 @@ class GPOnlinePolicy(RelaxedStrategyPolicy):
         )
 
     def on_update(self, period, measured_F, measured_arrivals):
-        scen = self.scenario
-        top, dem, cost = scen.topology, scen.demand, scen.cost
-        Y = self.strategy.y.sum(axis=0)
-        flow = FlowState(
-            t=measured_arrivals,
-            f=np.zeros_like(self.strategy.phi),
-            F=measured_F,
-            Y=Y,
-            link_cost=float("nan"),
-            cache_cost=float("nan"),
-            total_cost=float("nan"),
-        )
-        marg = compute_marginals(top, dem, self.strategy, flow, cost, self.blocked)
-        every_pair = np.ones_like(self.strategy.y, dtype=bool)
+        top, dem = self.scenario.topology, self.scenario.demand
+        static = self.blocked if self.blocked_mode == "static" else None
+        flow, self.blocked, marg = gp_period(
+            top, dem, self.scenario.cost, self.strategy, static,
+            (None, self.blocked, None), (measured_F, measured_arrivals))
         gp_step(top, dem, self.strategy, flow, marg, self.blocked, self.alpha,
-                every_pair)
-        if self.blocked_mode == "dynamic":
-            self.blocked = dynamic_blocked_sets(top, dem, self.strategy,
-                                                previous=self.blocked)
+                np.ones_like(self.strategy.y, dtype=bool))
         self._theory = None
         return dem.num_items * top.num_links
 

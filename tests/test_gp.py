@@ -8,7 +8,12 @@ import pytest
 from cachenet.blocking import dynamic_blocked_sets, static_blocked_sets
 from cachenet.fixedroute import FixedRoutingInstance
 from cachenet.flow import Strategy, dag_levels, solve_traffic, validate_strategy
-from cachenet.errors import ConfigurationError, DivergentCirculationError, LoopError
+from cachenet.errors import (
+    ConfigurationError,
+    DivergentCirculationError,
+    LoopError,
+    StructuralError,
+)
 from cachenet.gp import (
     GPConfig,
     count_async_messages,
@@ -179,6 +184,38 @@ class TestRunGp:
         if "alpha" in bad:
             with pytest.raises(ConfigurationError, match="finite and positive"):
                 GPOnlinePolicy(alpha=bad["alpha"])
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, None])
+    def test_bad_seed_rejected(self, bad):
+        # a negative or fractional seed used to fail inside numpy, and only
+        # once a random-schedule run drew its first node
+        with pytest.raises(ConfigurationError, match="seed >= 0"):
+            GPConfig(seed=bad)
+        assert GPConfig(seed=np.int64(0)).seed == 0
+
+    @pytest.mark.parametrize("source, target, message", [
+        ("fog", "grid-25", "disagree on catalog size"),
+        ("full-tree", "fog", "different topology"),
+    ])
+    def test_start_of_another_instance_rejected(self, source, target, message):
+        # a fog start on grid-25 used to fail in a numpy broadcast
+        src = generate_scenario(TABLE_PRESETS[source], 1)
+        dst = generate_scenario(TABLE_PRESETS[target], 1)
+        start = shortest_path_strategy(src.topology, src.demand, src.cost)
+        with pytest.raises(StructuralError, match=message):
+            run_gp(dst.topology, dst.demand, dst.cost, initial_strategy=start)
+
+    def test_start_off_the_simplex_rejected(self):
+        # half of every routing fraction conserves nothing; run from it,
+        # GP reported T = 42.7 where its feasible point is about 284
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], 1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        start = shortest_path_strategy(top, dem, cost)
+        start.phi *= 0.5
+        with pytest.raises(StructuralError,
+                           match=r"initial strategy is not a strategy of this "
+                                 r"instance: conservation violated by 0.5 at"):
+            run_gp(top, dem, cost, initial_strategy=start)
 
     def test_immediate_termination_at_fixed_point(self):
         top = line_topology(2)
@@ -487,6 +524,37 @@ def zero_weight_tie_fixture():
     dem = Demand(1, [{3}], np.array([[1.0, 1.0, 1.0, 0.0]]))
     d = {frozenset(e): float(e != (1, 2)) for e in pairs}
     return top, dem, symmetric_costs(top, d, [1.0] * 4)
+
+
+class TestOnlinePeriod:
+    """The online policy's update is ``run_gp``'s period on given flows."""
+
+    @pytest.mark.parametrize("preset, mode", [
+        ("full-tree", "dynamic"),
+        ("grid-25", "static"),
+        ("grid-25", "dynamic"),
+    ])
+    def test_online_on_solved_flows_equals_offline(self, preset, mode):
+        # Fed the F and t of the traffic solve at its own strategy, each
+        # online update takes run_gp's step bit for bit.  On full-tree seed 1
+        # a stranded cache appears at the second period, which dynamic sets
+        # built from the arrival rates mend in both.  Fog seed 2 is left
+        # out: the online policy steps every pair and run_gp only those
+        # with a positive residual, and there the two part at idle (t = 0)
+        # pairs, with another phi at equal cost.
+        scen = generate_scenario(TABLE_PRESETS[preset], 1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        pol = GPOnlinePolicy(alpha=0.05, blocked_mode=mode)
+        pol.setup(scen, None)
+        offline = pol.strategy.copy()
+        cfg = GPConfig(alpha=0.05, tol=1e-12, max_periods=1, blocked_mode=mode)
+        for period in range(400):
+            flow = solve_traffic(top, dem, pol.strategy, cost)
+            pol.on_update(period, flow.F, flow.t)
+            offline = run_gp(top, dem, cost, cfg,
+                             initial_strategy=offline).strategy
+            assert pol.strategy.phi.tobytes() == offline.phi.tobytes(), period
+            assert pol.strategy.y.tobytes() == offline.y.tobytes(), period
 
 
 class TestShortestPathStart:

@@ -7,7 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from cachenet.errors import ConfigurationError
+from cachenet.blocking import dynamic_blocked_sets
+from cachenet.errors import ConfigurationError, StructuralError
 from cachenet.flow import Strategy, solve_traffic
 from cachenet.gp import GPConfig, run_gp, shortest_path_strategy
 from cachenet.network import Demand
@@ -487,6 +488,29 @@ class TestBaselines:
 
 
 class TestGpInSim:
+    def test_online_dynamic_sets_mend_stranded_caches(self):
+        # Online dynamic sets are built from the measured arrivals before
+        # the marginals, as run_gp builds them from the solved ones, so a
+        # cache left without requests (t = 0 in the model) and without an
+        # unblocked out-link gets one.  Built after the step from the
+        # strategy alone, this run ended with 14 stranded pairs at model
+        # cost 2358.8; static sets end with none at 1237.3.
+        scen = generate_scenario(TABLE_PRESETS["full-tree"], 1)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        pol = make_policy("gp", alpha=0.05, blocked_mode="dynamic")
+        run_simulation(scen, pol, SimSchedule(t_slot=10.0, slots_per_period=2,
+                                              periods=150), seed=1)
+        s = pol.strategy
+        model = solve_traffic(top, dem, s, cost)
+        plain = dynamic_blocked_sets(top, dem, s)
+        n_out = np.zeros_like(s.y, dtype=int)
+        np.add.at(n_out, (slice(None), top.src), ~plain.mask)
+        stranded = (~dem.server_mask & (model.t <= 0.0) & (s.y > 0.0)
+                    & (n_out == 0))
+        # measured: 1 stranded pair, model cost 1812.58
+        assert stranded.sum() <= 1
+        assert model.total_cost <= 1850.0
+
     def test_gp_online_reduces_cost_on_fork(self):
         # two routes with very different costs: online GP should shift
         # traffic off the expensive one using only measured quantities
@@ -588,6 +612,22 @@ class TestGpInSim:
         for good in ("static", "dynamic"):
             assert GPOnlinePolicy(blocked_mode=good).blocked_mode == good
 
+    @pytest.mark.parametrize("make", [
+        lambda s: GPOnlinePolicy(initial=s),
+        lambda s: FrozenStrategyPolicy(s),
+    ])
+    def test_start_not_of_the_scenario_rejected(self, make):
+        grid = generate_scenario(TABLE_PRESETS["grid-25"], 1)
+        fog = generate_scenario(TABLE_PRESETS["fog"], 1)
+        sched = SimSchedule(t_slot=1.0, slots_per_period=2, periods=2)
+        start = shortest_path_strategy(fog.topology, fog.demand, fog.cost)
+        with pytest.raises(StructuralError, match="catalog size"):
+            run_simulation(grid, make(start), sched, seed=1)
+        start = shortest_path_strategy(grid.topology, grid.demand, grid.cost)
+        start.phi *= 0.5
+        with pytest.raises(StructuralError, match="conservation violated by 0.5"):
+            run_simulation(grid, make(start), sched, seed=1)
+
     @pytest.mark.parametrize("N", [1, 0, -3, True, 2.0, 100.0, "100"])
     def test_bad_gcfw_iteration_count_rejected(self, N):
         with pytest.raises(ConfigurationError, match="integer N >= 2"):
@@ -637,6 +677,11 @@ class CountingPolicy(FrozenStrategyPolicy):
 class LoopingPolicy(FrozenStrategyPolicy):
     """No routing tokens anywhere, and failsafe neighbours 0 <-> 1: every
     request that leaves node 0 bounces between nodes 0 and 1."""
+
+    def initial_strategy(self, scenario):
+        # an all-zero phi conserves nothing, which FrozenStrategyPolicy's
+        # own set-up rejects
+        return self._frozen.copy()
 
     def routing_weights(self, node, item):
         return []
