@@ -83,9 +83,9 @@ def validate_strategy(topology, demand, strategy, tol=1e-9):
                           phi.ravel(), minlength=C * V).reshape(C, V)
     servers = demand.server_mask
     off = np.abs(out_sum + y - 1.0)
-    worst = max(-phi.min(initial=0.0), phi.max(initial=1.0) - 1.0,
-                -y.min(initial=0.0), y.max(initial=1.0) - 1.0,
-                np.where(servers, np.maximum(y, out_sum), off).max(initial=0.0))
+    worst = np.max([-phi.min(initial=0.0), phi.max(initial=1.0) - 1.0,   # NaN if any
+                    -y.min(initial=0.0), y.max(initial=1.0) - 1.0,
+                    np.where(servers, np.maximum(y, out_sum), off).max(initial=0.0)])
     if worst <= tol:
         return ValidationReport(passed=True, worst=0.0)
 
@@ -93,7 +93,7 @@ def validate_strategy(topology, demand, strategy, tol=1e-9):
     for arr, name in ((phi, "phi"), (y, "y")):
         low = np.minimum(arr, 0.0)
         high = np.maximum(arr - 1.0, 0.0)
-        for k, idx in zip(*np.nonzero((low < -tol) | (high > tol))):
+        for k, idx in zip(*np.nonzero((low < -tol) | (high > tol) | np.isnan(arr))):
             mag = max(-low[k, idx], high[k, idx])
             violations.append(("box", (name, int(idx), int(k)), float(mag)))
     # listed by item, node, then kind

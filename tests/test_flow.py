@@ -97,6 +97,15 @@ class TestValidateStrategy:
         assert ("conservation", (0, 0), pytest.approx(0.5)) in rep.violations
 
 
+    def test_nan_fraction_fails(self):
+        # NaN compares false with every bound, and used to pass
+        top, dem, _ = unit_chain()
+        s = Strategy.from_dicts(top, 1, phi={(0, 1, 0): 1.0, (1, 2, 0): 1.0})
+        s.phi[0, top.edge_index[(1, 2)]] = np.nan
+        rep = validate_strategy(top, dem, s)
+        assert not rep.passed
+        assert rep.violations[0][:2] == ("box", ("phi", top.edge_index[(1, 2)], 0))
+
     def test_array_form_matches_loop_reference(self):
         # random and perturbed strategies, server rows included: the same
         # report, violations in the same order
