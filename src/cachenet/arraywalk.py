@@ -6,9 +6,10 @@ per numpy step, with a hit test against the slot's (C, V) hit mask (caches
 or servers), a token draw from ``TokenPools`` and the next node.  One
 backward pass over the stored steps then gives the response hops and their
 path costs.  Hops are stamped as in the request-atomic walk (hop h of a
-request born at t0 at t0 + h * hop_latency), and each hop is counted in the
-window and slot its stamp falls in.  ``sim.Simulator`` picks this walk when
-the policy's ``slot_hits`` returns a mask.
+request born at t0 at t0 + h * hop_latency); the walk only records them, and
+the simulator's ledger (``Simulator.count``) counts each in the window and
+slot its stamp falls in.  ``sim.Simulator`` picks this walk when the
+policy's ``slot_hits`` returns a mask.
 """
 
 from __future__ import annotations
@@ -141,237 +142,98 @@ class TokenPools:
         return out
 
 
-class ArrayWalk:
-    """The array walk of one run on ``sim``'s state: its token pools
-    (``sim.tokens``), counters and window and slot boundaries.
+def walk_slot(sim, t0, item, node):
+    """Walk one slot's arrivals (t0 in time order) on ``sim``'s token pools
+    (``sim.tokens``), and give their hops to ``sim.count``.
 
-    ``walk`` walks one slot's arrivals.  A visit stamped inside its own slot
-    goes straight to the period's arrivals, and a response hop stamped
-    inside the current segment (the window and slot the slot starts in)
-    straight to the count arrays.  Every other hop is held, with the window
-    and slot of its stamp, until ``advance`` reaches that window or slot.
-    Windows and slots are found with ``searchsorted`` on the exact products
-    the request-atomic walk compares stamps with, so a boundary stamp lands
-    where it lands there.
+    The policy's hooks are not called per hop.  An unroutable hop goes to
+    ``policy.failsafe_neighbors``, one call per such hop.  With a trace,
+    each step's lines are written as it is walked.
     """
-
-    def __init__(self, sim):
-        self.sim = sim
-        sched = sim.schedule
-        window_ends = (np.arange(sim.n_windows) + 1) * sched.t_monitor
-        slot_ends = (np.arange(sched.periods * sched.slots_per_period) + 1) * sched.t_slot
-        # the segments between consecutive window and slot ends, and the
-        # window and slot each one lies in
-        self.bounds = np.sort(np.concatenate((window_ends, slot_ends)))
-        start = np.concatenate(([0.0], self.bounds[:-1]))
-        self.seg_window = np.searchsorted(window_ends, start, "right").astype(np.int32)
-        self.seg_slot = np.searchsorted(slot_ends, start, "right").astype(np.int32)
-        none = np.zeros(0, dtype=np.int32)
-        # held hops: response hops (window, slot, link, flat (item, node),
-        # path cost), visits (slot, flat (item, node)), unroutable (window)
-        self.hops = (none, none, none, none, np.zeros(0))
-        self.visits = (none, none)
-        self.unroutable = none
-
-    def walk(self, end, t0, item, node):
-        """Walk one slot's arrivals (t0 in time order; the slot ends at
-        ``end``) one hop per numpy step, then their responses in one
-        backward pass over the stored steps.
-
-        The policy's hooks are not called per hop.  An unroutable hop goes
-        to ``policy.failsafe_neighbors``, one call per such hop.  With a
-        trace, each step's lines are written as it is walked.
-        """
-        n = t0.size
-        if not n:
-            return
-        sim = self.sim
-        policy, tokens, trace = sim.policy, sim.tokens, sim.trace
-        top, dem = sim.scenario.topology, sim.scenario.demand
-        V = top.num_nodes
-        W = tokens.width + 1
-        next_node, back_link = tokens.next_node, tokens.back_link
-        lat, stop = sim.schedule.hop_latency, sim.stop
-        at_server = dem.server_mask.ravel()
-        hit = np.logical_or(policy.slot_hits(), dem.server_mask).ravel()
-        req = np.arange(n, dtype=np.int32)
-        base = (item * V).astype(np.int32)   # flat (item, node 0)
-        node = node.astype(np.int32)
-        t_live = t0
-        depth = np.full(n, -1, dtype=np.int32)   # forward hops, once a holder is hit
-        steps = []        # per step: (requests, back links, flat (item, node))
-        measured = [] if sim.measure_active else None   # the slot's visits
-        later_t, later_at, lost_t = [], [], []
-        h = 0
-        while req.size:
-            stamp = t_live + h * lat    # in time order, as t_live is
-            if stamp[-1] >= stop:       # the rest ends in flight
-                cut = int(stamp.searchsorted(stop))
-                sim.in_flight += req.size - cut
-                req, t_live, base, node, stamp = (
-                    req[:cut], t_live[:cut], base[:cut], node[:cut], stamp[:cut])
-                if not cut:
-                    break
-            at = base + node
-            cut = int(stamp.searchsorted(end))   # visits past the slot
-            if measured is not None:
-                measured.append(at[:cut])
-            if cut < at.size:
-                later_t.append(stamp[cut:])
-                later_at.append(at[cut:])
-            found = hit[at]
-            if found.any():
-                depth[req[found]] = h
-                if trace is not None:
-                    _trace_hits(trace, stamp[found], node[found], base[found] // V,
-                                at_server[at[found]])
-                keep = np.flatnonzero(~found)
-                if not keep.size:
-                    break
-                req, t_live, base, node, at = (
-                    req[keep], t_live[keep], base[keep], node[keep], at[keep])
-            col = node * W + tokens.draw(at)
-            nxt = next_node[col]
-            link = back_link[col]
-            lost = np.flatnonzero(nxt < 0)
-            if lost.size:
-                for j in lost.tolist():
-                    i, k = int(node[j]), int(base[j]) // V
-                    sim.unroutable_total += 1
-                    lost_t.append(float(t_live[j] + h * lat))
-                    alt = sim._failsafe_hop(i, k)
-                    if alt is not None:
-                        nxt[j], link[j] = alt, top.edge_index[(alt, i)]
-                keep = np.flatnonzero(nxt >= 0)   # no neighbour at all: dropped
-                req, t_live, base, node, at, nxt, link = (
-                    a[keep] for a in (req, t_live, base, node, at, nxt, link))
+    n = t0.size
+    if not n:
+        return
+    policy, tokens, trace = sim.policy, sim.tokens, sim.trace
+    top, dem = sim.scenario.topology, sim.scenario.demand
+    V = top.num_nodes
+    W = tokens.width + 1
+    next_node, back_link = tokens.next_node, tokens.back_link
+    lat, stop = sim.schedule.hop_latency, sim.stop
+    at_server = dem.server_mask.ravel()
+    hit = np.logical_or(policy.slot_hits(), dem.server_mask).ravel()
+    req = np.arange(n, dtype=np.int32)
+    base = (item * V).astype(np.int32)   # flat (item, node 0)
+    node = node.astype(np.int32)
+    t_live = t0
+    depth = np.full(n, -1, dtype=np.int32)   # forward hops, once a holder is hit
+    steps = []        # per step: (requests, back links, flat (item, node))
+    visit_t, visit_at, lost_t = [], [], []
+    h = 0
+    while req.size:
+        stamp = t_live + h * lat    # in time order, as t_live is
+        if stamp[-1] >= stop:       # the rest ends in flight
+            cut = int(stamp.searchsorted(stop))
+            sim.in_flight += req.size - cut
+            req, t_live, base, node, stamp = (
+                req[:cut], t_live[:cut], base[:cut], node[:cut], stamp[:cut])
+            if not cut:
+                break
+        at = base + node
+        visit_t.append(stamp)
+        visit_at.append(at)
+        found = hit[at]
+        if found.any():
+            depth[req[found]] = h
             if trace is not None:
-                trace.writelines(
-                    f"{s:.6f} fwd node={i} item={k} to={j}\n"
-                    for s, i, k, j in zip((t_live + h * lat).tolist(), node.tolist(),
-                                          (base // V).tolist(), nxt.tolist()))
-            steps.append((req, link, at))
-            node = nxt
-            h += 1
+                _trace_hits(trace, stamp[found], node[found], base[found] // V,
+                            at_server[at[found]])
+            keep = np.flatnonzero(~found)
+            if not keep.size:
+                break
+            req, t_live, base, node, at = (
+                req[keep], t_live[keep], base[keep], node[keep], at[keep])
+        col = node * W + tokens.draw(at)
+        nxt = next_node[col]
+        link = back_link[col]
+        lost = np.flatnonzero(nxt < 0)
+        if lost.size:
+            for j in lost.tolist():
+                i, k = int(node[j]), int(base[j]) // V
+                sim.unroutable_total += 1
+                lost_t.append(float(t_live[j] + h * lat))
+                alt = sim._failsafe_hop(i, k)
+                if alt is not None:
+                    nxt[j], link[j] = alt, top.edge_index[(alt, i)]
+            keep = np.flatnonzero(nxt >= 0)   # no neighbour at all: dropped
+            req, t_live, base, node, at, nxt, link = (
+                a[keep] for a in (req, t_live, base, node, at, nxt, link))
+        if trace is not None:
+            trace.writelines(
+                f"{s:.6f} fwd node={i} item={k} to={j}\n"
+                for s, i, k, j in zip((t_live + h * lat).tolist(), node.tolist(),
+                                      (base // V).tolist(), nxt.tolist()))
+        steps.append((req, link, at))
+        node = nxt
+        h += 1
 
-        # responses: hop 2H - h of a request with H forward hops crosses
-        # back over its step-h link, and its path cost adds that link's d.
-        # A hop stamped in the current segment (the window and slot of the
-        # slot's start) is counted now, a later one is held.
-        done = depth >= 0
-        late = t0[done] + (2 * depth[done]) * lat >= stop
-        n_late = int(np.count_nonzero(late))
-        sim.in_flight += n_late
-        sim.responses_delivered += late.size - n_late
-        d, seg_end = sim.d_weights, sim.seg_end
-        cum = np.zeros(n)
-        cost = np.zeros(sim.miss_cost_item.size)
-        counts = np.zeros(sim.window_counts.size)
-        held = ([], [], [], [])   # stamps, links, flat (item, node), costs
-        for h in range(len(steps) - 1, -1, -1):
-            req, link, at = steps[h]
-            back = np.flatnonzero(done[req])
-            req, link, at = req[back], link[back], at[back]
-            cum[req] += d[link]
-            stamp = t0[req] + (2 * depth[req] - h) * lat
-            paid = cum[req]
-            past = stamp >= seg_end
-            if past.any():
-                out = np.flatnonzero(past & (stamp < stop))
-                for parts, a in zip(held, (stamp, link, at, paid)):
-                    parts.append(a[out])
-                now = np.flatnonzero(~past)
-                link, at, paid = link[now], at[now], paid[now]
-            cost += np.bincount(at, weights=paid, minlength=cost.size)
-            counts += np.bincount(link, minlength=counts.size)
-        steps.clear()
-        cost = cost.reshape(sim.miss_cost_item.shape)
-        sim.miss_cost_item += cost
-        sim.miss_cost += cost.sum(axis=0)
-        sim.window_counts += counts
-        if sim.measure_active:
-            sim.period_counts += counts
-
-        if measured:
-            sim.period_arrivals += np.bincount(
-                np.concatenate(measured), minlength=sim.period_arrivals.size
-            ).reshape(sim.period_arrivals.shape)
-        if later_t:
-            slot, at = self.visits
-            seg = np.searchsorted(self.bounds, np.concatenate(later_t), "right")
-            self.visits = (np.concatenate((slot, self.seg_slot[seg])),
-                           np.concatenate([at] + later_at))
-        if held[0]:
-            seg = np.searchsorted(self.bounds, np.concatenate(held[0]), "right")
-            new = [self.seg_window[seg], self.seg_slot[seg]]
-            new += [np.concatenate(parts) for parts in held[1:]]
-            self.hops = tuple(np.concatenate(pair) for pair in zip(self.hops, new))
-        if lost_t:
-            seg = np.searchsorted(self.bounds, lost_t, "right")
-            self.unroutable = np.concatenate((self.unroutable, self.seg_window[seg]))
-
-    def advance(self, until):
-        """``Simulator._advance`` for the array walk: process, in time
-        order, every window and slot boundary at or before ``until``, each
-        with the held hops stamped in its window or slot; then drop the
-        hops that have been counted in both."""
-        sim = self.sim
-        t_slot = sim.schedule.t_slot
-        while until >= sim.seg_end and sim.window_idx < sim.n_windows:
-            if sim.window_end <= sim.slot_end:
-                self._flush_window()
-            else:
-                self._fold_slot(sim.slot_idx)
-                sim.slot_idx += 1
-                sim._slot_boundary(sim.slot_idx)
-                sim.slot_end = (sim.slot_idx + 1) * t_slot
-            sim.seg_end = min(sim.window_end, sim.slot_end)
-        win, slot = self.hops[:2]
-        keep = (win >= sim.window_idx) | (slot >= sim.slot_idx)
-        if not keep.all():
-            self.hops = tuple(a[keep] for a in self.hops)
-        slot, at = self.visits
-        keep = slot >= sim.slot_idx
-        self.visits = (slot[keep], at[keep])
-        self.unroutable = self.unroutable[self.unroutable >= sim.window_idx]
-
-    def finish(self):
-        """Fold the last slot's held hops and flush the windows left."""
-        sim = self.sim
-        self._fold_slot(sim.slot_idx)
-        while sim.window_idx < sim.n_windows:
-            self._flush_window()
-
-    def _flush_window(self):
-        sim = self.sim
-        w = sim.window_idx
-        win, link = self.hops[0], self.hops[2]
-        sim.window_counts += np.bincount(link[win == w], minlength=sim.window_counts.size)
-        sim.window_unroutable += int(np.count_nonzero(self.unroutable == w))
-        sim._flush_window(w, sim.window_end)
-        sim.window_idx += 1
-        sim.window_end = (sim.window_idx + 1) * sim.schedule.t_monitor
-
-    def _fold_slot(self, s):
-        """Fold the held hops stamped in slot s: miss costs always, link
-        counts and visits into the period's measurement when it is on."""
-        sim = self.sim
-        _, slot, link, at, paid = self.hops
-        here = slot == s
-        if here.any():
-            cost = np.bincount(at[here], weights=paid[here],
-                               minlength=sim.miss_cost_item.size
-                               ).reshape(sim.miss_cost_item.shape)
-            sim.miss_cost_item += cost
-            sim.miss_cost += cost.sum(axis=0)
-            if sim.measure_active:
-                sim.period_counts += np.bincount(link[here],
-                                                 minlength=sim.period_counts.size)
-        if sim.measure_active:
-            slot, at = self.visits
-            sim.period_arrivals += np.bincount(
-                at[slot == s], minlength=sim.period_arrivals.size
-            ).reshape(sim.period_arrivals.shape)
+    # responses: hop 2H - h of a request with H forward hops crosses
+    # back over its step-h link, and its path cost adds that link's d
+    done = depth >= 0
+    late = t0[done] + (2 * depth[done]) * lat >= stop
+    n_late = int(np.count_nonzero(late))
+    sim.in_flight += n_late
+    sim.responses_delivered += late.size - n_late
+    d = sim.d_weights
+    cum = np.zeros(n)
+    hops = []
+    for h in range(len(steps) - 1, -1, -1):
+        req, link, at = steps[h]
+        back = np.flatnonzero(done[req])
+        req, link, at = req[back], link[back], at[back]
+        cum[req] += d[link]
+        hops.append((t0[req] + (2 * depth[req] - h) * lat, link, at, cum[req]))
+    sim.count(hops, (np.concatenate(visit_t), np.concatenate(visit_at)),
+              np.array(lost_t))
 
 
 def _trace_hits(trace, stamp, node, item, at_server):

@@ -12,9 +12,9 @@ re-rounded into cache decisions at every slot start and updated by the
 active policy at every update slot (the last slot of a period).
 
 There are two walks, and the policy's ``slot_hits`` hook picks one for the
-run:
+run.  Both only record hops; one ledger counts them (``Simulator.count``):
 
-- **The array walk** (``arraywalk.ArrayWalk``), for policies whose cache
+- **The array walk** (``arraywalk.walk_slot``), for policies whose cache
   hits and routing stay fixed within a slot (``slot_hits`` returns the
   slot's (C, V) hit mask: the relaxed-strategy policies and CostGreedy).
   A slot's requests are walked together after its arrivals are drawn:
@@ -30,12 +30,13 @@ Only arrivals and the slot and window boundaries drive the loop; there is no
 event queue.  The fixed hop latency only stamps hops: hop h of a request
 that arrived at t0 (its response hops continue the count) is stamped
 t0 + h * hop_latency, and that stamp alone decides which monitor window the
-hop is counted in and whether it falls in a measured slot.  A hop stamped
-past the current window or slot is held until the loop reaches it.  A
-request whose next stamp reaches the end of the run stops there and counts
-as in flight.  A walk sees the caches and routing of the moment its request
-arrived.  All costs are computed from counted flows, never from simulated
-latency.
+hop is counted in and whether it falls in a measured slot.  The ledger
+counts a hop stamped in the current window and slot at once and holds a
+later one until the loop reaches its window and slot.  The run ends with
+its last whole monitor window; a request whose next stamp reaches the end
+stops there and counts as in flight.  A walk sees the caches and routing of
+the moment its request arrived.  All costs are computed from counted flows,
+never from simulated latency.
 """
 
 from __future__ import annotations
@@ -45,14 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraywalk import ArrayWalk, TokenPools
-from .errors import require_count, require_finite_positive
+from .arraywalk import TokenPools, walk_slot
+from .errors import ConfigurationError, require_count, require_finite_positive
 
 N_TOKEN = 50
-FOLD_EVERY = 512   # arrivals walked between two folds of the per-hop lists
-
-# kinds of the hops a walk stamps past the current segment
-_VISIT, _RESPONSE, _UNROUTABLE = 0, 1, 2
 
 
 @dataclass
@@ -70,6 +67,16 @@ class SimSchedule:
             self.t_monitor = self.t_slot
         for name in ("t_slot", "t_monitor", "hop_latency"):
             require_finite_positive(getattr(self, name), name)
+        if self.n_windows == 0:
+            raise ConfigurationError(
+                f"t_monitor={self.t_monitor} is longer than the run "
+                f"({self.periods * self.slots_per_period * self.t_slot})")
+
+    @property
+    def n_windows(self):
+        """The whole monitor windows in the run, which ends with the last."""
+        horizon = self.periods * self.slots_per_period * self.t_slot
+        return math.floor(horizon / self.t_monitor + 1e-9)
 
 
 def apportion_tokens(weights, n_tokens=N_TOKEN):
@@ -129,16 +136,16 @@ class SimulationRun:
 class Simulator:
     """One run of one scenario under one policy.
 
-    The run is cut into segments by the window and slot boundaries.  The
-    request-atomic walk appends the hops stamped inside the current segment
-    to plain lists (the response link, the (item, node) of a visit, the
-    miss cost paid at a node) and folds them into the count arrays with
-    ``np.bincount`` every ``FOLD_EVERY`` arrivals and when the segment ends,
-    before the boundary's policy hooks run.  The array walk
-    (``arraywalk.ArrayWalk``) counts a slot's hops stamped inside the
-    segment the slot starts in as soon as the slot is walked, and holds the
-    later ones, with the window and slot of each stamp, until the loop
-    reaches them.
+    The walks only record hops; one ledger counts them.  The run is cut into
+    segments by the window and slot boundaries.  ``count`` takes a walk's
+    records, each hop with its stamp: it counts at once the response hops
+    stamped in the current segment and the visits stamped in the current
+    slot, and holds every other hop with the window and slot of its stamp.
+    ``advance`` processes the boundaries in time order, each with the held
+    hops stamped in its window or slot, before the boundary's policy hooks
+    run.  The array walk hands over each slot once it is walked.  The
+    request-atomic walk hands over before an arrival at or past the current
+    segment's end and after each slot.
     """
 
     def __init__(self, scenario, policy, schedule, seed, trace=None,
@@ -172,19 +179,28 @@ class Simulator:
         self._pending_messages = 0
 
         sched = schedule
-        horizon = sched.periods * sched.slots_per_period * sched.t_slot
-        self.n_windows = int(round(horizon / sched.t_monitor))
+        n_slots = sched.periods * sched.slots_per_period
+        self.n_windows = sched.n_windows
         # nothing is stamped at or past the horizon or the last window's end
-        self.stop = min(horizon, self.n_windows * sched.t_monitor)
+        self.stop = min(n_slots * sched.t_slot, self.n_windows * sched.t_monitor)
         self.window_idx, self.window_end = 0, sched.t_monitor
         self.slot_idx, self.slot_end = 0, sched.t_slot
         self.seg_end = min(self.window_end, self.slot_end)
-        # the current segment's hops, and the hops stamped past it
-        self.seg_links = []      # response link of each response hop
-        self.seg_miss_at = []    # flat (item, node) it arrives at
-        self.seg_miss = []       # and the path cost paid to get there
-        self.seg_visits = []     # flat (item, node) of each request visit
-        self.pending = []        # (stamp, kind, a, b, c), stamped later
+        window_ends = (np.arange(self.n_windows) + 1) * sched.t_monitor
+        slot_ends = (np.arange(n_slots) + 1) * sched.t_slot
+        # the segments' ends, and the window and slot each segment lies in;
+        # these are the products the boundaries are compared with, so a
+        # boundary stamp is held for the segment it is counted in
+        self.bounds = np.sort(np.concatenate((window_ends, slot_ends)))
+        start = np.concatenate(([0.0], self.bounds[:-1]))
+        self.seg_window = np.searchsorted(window_ends, start, "right").astype(np.int32)
+        self.seg_slot = np.searchsorted(slot_ends, start, "right").astype(np.int32)
+        none = np.zeros(0, dtype=np.int32)
+        # held hops: response hops (window, slot, link, flat (item, node),
+        # path cost), visits (slot, flat (item, node)), unroutable (window)
+        self.held_hops = (none, none, none, none, np.zeros(0))
+        self.held_visits = (none, none)
+        self.held_unroutable = none
 
     # -- forwarding ------------------------------------------------------
 
@@ -259,38 +275,46 @@ class Simulator:
             item, node = np.divmod(picks[:n], V)
             yield (slot + 1) * sched.t_slot, times[:n], item, node
 
+    # -- the request-atomic walk -------------------------------------------
+
     def _run_request_walk(self):
+        # the walk's records since the last hand-off: per request its
+        # numbers of visits and of response hops; per visit its flat
+        # (item, node); per response hop its link and the path cost paid
+        # where it arrives; per unroutable hop its stamp
+        self.n_visits, self.n_responses = [], []
+        self.visits, self.links, self.paid, self.lost = [], [], [], []
         walk = self._walker()
-        for _, times, item, node in self._arrivals():
-            # a chunk of arrivals at a time, folding after each, keeps the
-            # per-hop lists short
-            for lo in range(0, times.size, FOLD_EVERY):
-                hi = lo + FOLD_EVERY
-                seg_end = self.seg_end
-                for t0, k, i in zip(times[lo:hi].tolist(), item[lo:hi].tolist(),
-                                    node[lo:hi].tolist()):
-                    if t0 >= seg_end:
-                        self._advance(t0)
-                        seg_end = self.seg_end
-                    walk(t0, k, i, seg_end)
-                self._fold()
-        self._advance(self.stop)
-        self._fold()
+        lat, stop = self.schedule.hop_latency, self.stop
+        for end, times, item, node in self._arrivals():
+            # the last hop of each request surely stamped before the end of
+            # the run: hop h's stamp t0 + h * lat does not fall as h falls
+            safe = np.minimum((stop - times) / lat, 1e15).astype(np.int64) - 1
+            safe[times + safe * lat >= stop] = -1
+            first, seg_end = 0, self.seg_end
+            for t0, k, i, s in zip(times.tolist(), item.tolist(), node.tolist(),
+                                   safe.tolist()):
+                if t0 >= seg_end:
+                    first = self._hand_off(times, first)
+                    self.advance(t0)
+                    seg_end = self.seg_end
+                walk(t0, k, i, s)
+            self._hand_off(times, first)
+            self.advance(min(end, stop))
         self.pools.clear()   # the token pools live for one run
-        while self.window_idx < self.n_windows:
-            self._flush_window(self.window_idx,
-                               (self.window_idx + 1) * self.schedule.t_monitor)
-            self.window_idx += 1
+        self.finish()
 
     def _walker(self):
-        """walk(t0, k, node, seg_end): the request for item k born at node
-        at time t0, and its response, in one call.
+        """walk(t0, k, node, safe): the request for item k born at node at
+        time t0, and its response, in one call; hops up to ``safe`` are
+        stamped before the end of the run.
 
         Every node the request visits gets ``policy.is_hit``, and a miss
         gets one ``token_forward`` (the failsafe neighbour when the tokens
         give none).  Every node the response passes gets
-        ``policy.on_response_pass``.  Hops stamped before ``seg_end`` go to
-        the segment lists, later ones to ``pending``.
+        ``policy.on_response_pass``.  The walk records its hops for
+        ``_hand_off`` and stops at the first hop stamped at or past the end
+        of the run.
         """
         top, dem = self.scenario.topology, self.scenario.demand
         V = top.num_nodes
@@ -303,74 +327,95 @@ class Simulator:
         for (a, b), e in top.edge_index.items():
             link_to[b][a] = e
         d = self.d_weights.tolist()
-        lat = self.schedule.hop_latency
+        lat, stop = self.schedule.hop_latency, self.stop
         trace = self.trace
-        links, miss_at, miss = self.seg_links, self.seg_miss_at, self.seg_miss
-        visits = self.seg_visits
-        defer = self._defer
+        n_visits, n_responses = self.n_visits, self.n_responses
+        visits, links, paid, lost = self.visits, self.links, self.paid, self.lost
 
-        def walk(t0, k, node, seg_end):
+        def walk(t0, k, node, safe):
             srv = servers[k]
             kV = k * V
             path = [node]
             hops = []            # the response link of each request hop
             h = 0
-            stamp = t0
             while True:
-                if stamp < seg_end:
-                    visits.append(kV + node)
-                elif not defer(stamp, _VISIT, kV + node):
+                if h > safe and t0 + h * lat >= stop:
+                    self.in_flight += 1
+                    n_visits.append(h)
+                    n_responses.append(0)
                     return
+                visits.append(kV + node)
                 if is_hit(node, k) or node in srv:
                     on_hit(node, k)
                     if trace is not None:
                         kind = "server" if node in srv else "hit"
-                        trace.write(f"{stamp:.6f} {kind} node={node} item={k}\n")
+                        trace.write(f"{t0 + h * lat:.6f} {kind} node={node} item={k}\n")
                     break
                 nxt = token_forward(node, k)
                 if nxt is None:
                     self.unroutable_total += 1
-                    if stamp < seg_end:
-                        self.window_unroutable += 1
-                    else:
-                        defer(stamp, _UNROUTABLE)
+                    lost.append(t0 + h * lat)
                     nxt = self._failsafe_hop(node, k)
-                    if nxt is None:
-                        return   # reported; dropped only if truly no neighbor
+                    if nxt is None:   # reported; dropped only if truly no neighbor
+                        n_visits.append(h + 1)
+                        n_responses.append(0)
+                        return
                 if trace is not None:
-                    trace.write(f"{stamp:.6f} fwd node={node} item={k} to={nxt}\n")
+                    trace.write(f"{t0 + h * lat:.6f} fwd node={node} item={k} to={nxt}\n")
                 hops.append(link_to[node][nxt])
                 path.append(nxt)
                 node = nxt
                 h += 1
-                stamp = t0 + h * lat
+            # response hop j is hop h + j; the ones stamped before the end
+            n = h
+            if 2 * h > safe:
+                n = 0
+                while n < h and t0 + (h + n + 1) * lat < stop:
+                    n += 1
             cum = 0.0
-            for pos in range(len(hops) - 1, -1, -1):
-                h += 1
-                stamp = t0 + h * lat
+            for pos in range(h - 1, h - 1 - n, -1):
                 e = hops[pos]
-                node = path[pos]
                 cum += d[e]
-                if stamp < seg_end:
-                    links.append(e)
-                    miss_at.append(kV + node)
-                    miss.append(cum)
-                elif not defer(stamp, _RESPONSE, e, kV + node, cum):
-                    return
-                on_response_pass(node, k)
-            self.responses_delivered += 1
+                links.append(e)
+                paid.append(cum)
+                on_response_pass(path[pos], k)
+            n_visits.append(h + 1)
+            n_responses.append(n)
+            if n < h:
+                self.in_flight += 1
+            else:
+                self.responses_delivered += 1
 
         return walk
 
-    def _defer(self, stamp, kind, a=None, b=None, c=None):
-        """Keep a hop stamped past the current segment for the segment its
-        stamp falls in; past the end of the run the request is in flight
-        and the walk stops (returns False)."""
-        if stamp >= self.stop:
-            self.in_flight += 1
-            return False
-        self.pending.append((stamp, kind, a, b, c))
-        return True
+    def _hand_off(self, times, first):
+        """Give the ledger the records of the requests walked since the last
+        hand-off, ``times[first:]`` in walk order, each hop stamped as the
+        walk stamps it; returns the index of the next request."""
+        if not self.n_visits:
+            return first
+        n_visits = np.array(self.n_visits, dtype=np.intp)
+        n_resp = np.array(self.n_responses, dtype=np.intp)
+        t0 = times[first:first + n_visits.size]
+        visits = np.array(self.visits, dtype=np.intp)
+        lat = self.schedule.hop_latency
+
+        def hop(n, h0):
+            # hops h0 to h0 + n - 1 of each request
+            return np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - h0, n)
+
+        # response hop m, hop n_visits + m, arrives where visit
+        # n_visits - 2 - m was made
+        h = hop(n_resp, n_visits)
+        at = visits[np.repeat(np.cumsum(n_visits) + n_visits - 2, n_resp) - h]
+        self.count([(np.repeat(t0, n_resp) + h * lat, np.array(self.links, dtype=np.intp),
+                     at, np.array(self.paid))],
+                   (np.repeat(t0, n_visits) + hop(n_visits, 0) * lat, visits),
+                   np.array(self.lost))
+        for records in (self.n_visits, self.n_responses, self.visits, self.links,
+                        self.paid, self.lost):
+            records.clear()
+        return first + n_visits.size
 
     # -- the array walk ------------------------------------------------------
 
@@ -378,73 +423,122 @@ class Simulator:
         top, dem = self.scenario.topology, self.scenario.demand
         self.tokens = TokenPools(top, dem.num_items, N_TOKEN, self.rng)
         self.tokens.rebuild(self.policy.routing_array())
-        walk = ArrayWalk(self)
         for end, times, item, node in self._arrivals():
-            walk.walk(end, times, item, node)
-            walk.advance(min(end, self.stop))
-        walk.advance(self.stop)
-        walk.finish()
+            walk_slot(self, times, item, node)
+            self.advance(min(end, self.stop))
+        self.finish()
         self.tokens = None   # the token pools live for one run
 
-    # -- boundaries --------------------------------------------------------
+    # -- the ledger ----------------------------------------------------------
 
-    def _advance(self, until):
+    def count(self, hops, visits, unroutable):
+        """Count a walk's records now or hold them for later segments.
+
+        ``hops``: chunks of response hops (stamps, links, flat (item, node)
+        arrived at, path costs), each chunk's miss costs summed apart;
+        ``visits``: (stamps, flat (item, node)); ``unroutable``: stamps.  A
+        response hop stamped in the current segment counts now in the
+        window, and in the period's measurement while it is on; a visit
+        stamped in the current slot counts now in the measurement.  The
+        other hops, unroutable ones included, are held with the window and
+        slot of their stamp; response hops stamped at or past the end of
+        the run are dropped.
+        """
+        cost = np.zeros(self.miss_cost_item.size)
+        counts = np.zeros(self.window_counts.size)
+        held = []
+        for stamp, link, at, paid in hops:
+            past = stamp >= self.seg_end
+            if past.any():
+                out = past & (stamp < self.stop)
+                held.append((stamp[out], link[out], at[out], paid[out]))
+                now = ~past
+                link, at, paid = link[now], at[now], paid[now]
+            cost += np.bincount(at, weights=paid, minlength=cost.size)
+            counts += np.bincount(link, minlength=counts.size)
+        cost = cost.reshape(self.miss_cost_item.shape)
+        self.miss_cost_item += cost
+        self.miss_cost += cost.sum(axis=0)
+        self.window_counts += counts
+        if self.measure_active:
+            self.period_counts += counts
+        if held:
+            stamp, *rest = (np.concatenate(parts) for parts in zip(*held))
+            seg = np.searchsorted(self.bounds, stamp, "right")
+            new = [self.seg_window[seg], self.seg_slot[seg], *rest]
+            self.held_hops = tuple(np.concatenate(pair)
+                                   for pair in zip(self.held_hops, new))
+
+        stamp, at = visits
+        later = stamp >= self.slot_end
+        if self.measure_active:
+            self.period_arrivals += np.bincount(
+                at[~later], minlength=self.period_arrivals.size
+            ).reshape(self.period_arrivals.shape)
+        if later.any():
+            slot, held_at = self.held_visits
+            seg = np.searchsorted(self.bounds, stamp[later], "right")
+            self.held_visits = (np.concatenate((slot, self.seg_slot[seg])),
+                                np.concatenate((held_at, at[later])))
+        if unroutable.size:
+            seg = np.searchsorted(self.bounds, unroutable, "right")
+            self.held_unroutable = np.concatenate((self.held_unroutable,
+                                                   self.seg_window[seg]))
+
+    def advance(self, until):
         """Process, in time order, every window and slot boundary at or
-        before ``until`` (a window first when both fall together)."""
-        sched = self.schedule
+        before ``until`` (a window first when both fall together), each
+        with the held hops stamped in its window or slot; then drop the
+        held hops counted in both."""
+        t_slot = self.schedule.t_slot
         while until >= self.seg_end and self.window_idx < self.n_windows:
-            self._fold()
             if self.window_end <= self.slot_end:
-                self._flush_window(self.window_idx, self.window_end)
-                self.window_idx += 1
-                self.window_end = (self.window_idx + 1) * sched.t_monitor
+                self._flush_window()
             else:
+                self._fold_slot()
                 self.slot_idx += 1
                 self._slot_boundary(self.slot_idx)
-                self.slot_end = (self.slot_idx + 1) * sched.t_slot
+                self.slot_end = (self.slot_idx + 1) * t_slot
             self.seg_end = min(self.window_end, self.slot_end)
-            if self.pending:
-                self._release_pending()
+        win, slot = self.held_hops[:2]
+        keep = (win >= self.window_idx) | (slot >= self.slot_idx)
+        if not keep.all():
+            self.held_hops = tuple(a[keep] for a in self.held_hops)
+        slot, at = self.held_visits
+        keep = slot >= self.slot_idx
+        self.held_visits = (slot[keep], at[keep])
+        self.held_unroutable = self.held_unroutable[
+            self.held_unroutable >= self.window_idx]
 
-    def _release_pending(self):
-        """Move the buffered hops stamped inside the new segment into it."""
-        later = []
-        for entry in self.pending:
-            stamp, kind, a, b, c = entry
-            if stamp >= self.seg_end:
-                later.append(entry)
-            elif kind == _VISIT:
-                self.seg_visits.append(a)
-            elif kind == _RESPONSE:
-                self.seg_links.append(a)
-                self.seg_miss_at.append(b)
-                self.seg_miss.append(c)
-            else:
-                self.window_unroutable += 1
-        self.pending = later
+    def finish(self):
+        """Process the boundaries up to the end of the run, fold the last
+        slot's held hops and flush the windows left."""
+        self.advance(self.stop)
+        self._fold_slot()
+        while self.window_idx < self.n_windows:
+            self._flush_window()
 
-    def _fold(self):
-        """Add the current segment's hops to the count arrays and empty its
-        lists: window link counts always, the period's link counts and
-        arrivals only while measurement is active, miss costs always."""
-        C, V = self.miss_cost_item.shape
-        if self.seg_links:
-            counts = np.bincount(self.seg_links,
-                                 minlength=self.window_counts.size)
-            self.window_counts += counts
+    def _fold_slot(self):
+        """Fold the held hops stamped in the current slot: miss costs
+        always, link counts and visits into the period's measurement when
+        it is on."""
+        s = self.slot_idx
+        _, slot, link, at, paid = self.held_hops
+        here = slot == s
+        if here.any():
+            cost = np.bincount(at[here], weights=paid[here],
+                               minlength=self.miss_cost_item.size
+                               ).reshape(self.miss_cost_item.shape)
+            self.miss_cost_item += cost
+            self.miss_cost += cost.sum(axis=0)
             if self.measure_active:
-                self.period_counts += counts
-            at = np.array(self.seg_miss_at)
-            self.miss_cost_item += np.bincount(
-                at, weights=self.seg_miss, minlength=C * V).reshape(C, V)
-            self.miss_cost += np.bincount(at % V, weights=self.seg_miss,
-                                          minlength=V)
-        if self.seg_visits and self.measure_active:
+                self.period_counts += np.bincount(link[here],
+                                                  minlength=self.period_counts.size)
+        if self.measure_active:
+            slot, at = self.held_visits
             self.period_arrivals += np.bincount(
-                self.seg_visits, minlength=C * V).reshape(C, V)
-        for seg in (self.seg_links, self.seg_miss_at, self.seg_miss,
-                    self.seg_visits):
-            seg.clear()
+                at[slot == s], minlength=self.period_arrivals.size
+            ).reshape(self.period_arrivals.shape)
 
     def _slot_boundary(self, slot_idx):
         L = self.schedule.slots_per_period
@@ -473,9 +567,16 @@ class Simulator:
             self.measure_active = False
         self.policy.on_slot(period, slot)
 
-    def _flush_window(self, window_idx, window_end):
+    def _flush_window(self):
+        """Close the current window with its held hops, record it and start
+        the next."""
         sched = self.schedule
         scen = self.scenario
+        w, window_end = self.window_idx, self.window_end
+        win, link = self.held_hops[0], self.held_hops[2]
+        self.window_counts += np.bincount(link[win == w],
+                                          minlength=self.window_counts.size)
+        self.window_unroutable += int(np.count_nonzero(self.held_unroutable == w))
         slot_idx = int((window_end - 1e-9) // sched.t_slot)
         period, slot = divmod(slot_idx, sched.slots_per_period)
         F_hat = self.window_counts / sched.t_monitor
@@ -499,6 +600,8 @@ class Simulator:
         self.window_counts[:] = 0.0
         self.window_unroutable = 0
         self._pending_messages = 0
+        self.window_idx += 1
+        self.window_end = (self.window_idx + 1) * sched.t_monitor
 
 
 def run_simulation(scenario, policy, schedule, seed, trace=None,

@@ -1,6 +1,7 @@
 """Shared fixture builders and independent oracles used across the tests."""
 
 import heapq
+import math
 
 import numpy as np
 
@@ -21,14 +22,7 @@ from cachenet.network import (
 )
 from cachenet.rounding import build_bar_map, sample_decision
 from cachenet.scenarios import build_topology, zipf_weights
-from cachenet.sim import (
-    _RESPONSE,
-    _UNROUTABLE,
-    _VISIT,
-    SimulationRun,
-    Simulator,
-    apportion_tokens,
-)
+from cachenet.sim import SimulationRun, Simulator, apportion_tokens
 
 
 def line_topology(n):
@@ -816,12 +810,8 @@ class ReferenceSimulator(Simulator):
                     seq += 1
 
         horizon = sched.periods * sched.slots_per_period * sched.t_slot
-        n_windows = int(round(horizon / sched.t_monitor))
-        window_end = sched.t_monitor
-        window_idx = 0
-        slot_len = sched.t_slot
-        slot_end = slot_len
-        slot_idx = 0
+        # the run ends with its last whole window
+        n_windows = math.floor(horizon / sched.t_monitor + 1e-9)
         self.policy.setup(scen, self)
         self.policy.on_slot(0, 0)
 
@@ -829,18 +819,16 @@ class ReferenceSimulator(Simulator):
             time, _, kind, a, b, c = heap[0]
             if time >= horizon:
                 break
-            while time >= min(window_end, slot_end):
-                if window_end <= slot_end:
-                    self._flush_window(window_idx, window_end)
-                    window_idx += 1
-                    window_end = (window_idx + 1) * sched.t_monitor
-                    if window_idx >= n_windows:
+            while time >= min(self.window_end, self.slot_end):
+                if self.window_end <= self.slot_end:
+                    self._flush_window()
+                    if self.window_idx >= n_windows:
                         break
                 else:
-                    slot_idx += 1
-                    self._slot_boundary(slot_idx)
-                    slot_end = (slot_idx + 1) * slot_len
-            if window_idx >= n_windows:
+                    self.slot_idx += 1
+                    self._slot_boundary(self.slot_idx)
+                    self.slot_end = (self.slot_idx + 1) * sched.t_slot
+            if self.window_idx >= n_windows:
                 break
             heapq.heappop(heap)
 
@@ -862,9 +850,8 @@ class ReferenceSimulator(Simulator):
                 seq += 1
 
         in_flight = sum(1 for ev in heap if ev[2] != GEN)
-        while window_idx < n_windows:
-            self._flush_window(window_idx, (window_idx + 1) * sched.t_monitor)
-            window_idx += 1
+        while self.window_idx < n_windows:
+            self._flush_window()
         return SimulationRun(
             records=self.records,
             policy=self.policy,
@@ -992,54 +979,54 @@ class ParentWalkSimulator(Simulator):
         servers = dem.servers
         edge_index = top.edge_index
         d = self.d_weights.tolist()
-        lat = self.schedule.hop_latency
-        links, miss_at, miss = self.seg_links, self.seg_miss_at, self.seg_miss
-        visits = self.seg_visits
-        defer = self._defer
+        lat, stop = self.schedule.hop_latency, self.stop
+        n_visits, n_responses = self.n_visits, self.n_responses
+        visits, links, paid, lost = self.visits, self.links, self.paid, self.lost
 
-        def walk(t0, k, node, seg_end):
+        def walk(t0, k, node, safe):
             path = [node]
             hops = []
             h = 0
-            stamp = t0
             while True:
-                if stamp < seg_end:
-                    visits.append(k * V + node)
-                elif not defer(stamp, _VISIT, k * V + node):
+                if h > safe and t0 + h * lat >= stop:
+                    self.in_flight += 1
+                    n_visits.append(h)
+                    n_responses.append(0)
                     return
+                visits.append(k * V + node)
                 if is_hit(node, k) or node in servers[k]:
                     on_hit(node, k)
                     break
                 nxt = token_forward(node, k)
                 if nxt is None:
                     self.unroutable_total += 1
-                    if stamp < seg_end:
-                        self.window_unroutable += 1
-                    else:
-                        defer(stamp, _UNROUTABLE)
+                    lost.append(t0 + h * lat)
                     nxt = self._failsafe_hop(node, k)
                     if nxt is None:
+                        n_visits.append(h + 1)
+                        n_responses.append(0)
                         return
                 hops.append(edge_index[(nxt, node)])
                 path.append(nxt)
                 node = nxt
                 h += 1
-                stamp = t0 + h * lat
+            n = 0
+            while n < h and t0 + (h + n + 1) * lat < stop:
+                n += 1
             cum = 0.0
-            for pos in range(len(hops) - 1, -1, -1):
-                h += 1
-                stamp = t0 + h * lat
+            for pos in range(h - 1, h - 1 - n, -1):
                 e = hops[pos]
                 node = path[pos]
                 cum += d[e]
-                if stamp < seg_end:
-                    links.append(e)
-                    miss_at.append(k * V + node)
-                    miss.append(cum)
-                elif not defer(stamp, _RESPONSE, e, k * V + node, cum):
-                    return
+                links.append(e)
+                paid.append(cum)
                 on_response_pass(node, k)
-            self.responses_delivered += 1
+            n_visits.append(h + 1)
+            n_responses.append(n)
+            if n < h:
+                self.in_flight += 1
+            else:
+                self.responses_delivered += 1
 
         return walk
 

@@ -428,6 +428,27 @@ class TestPeriodKernel:
         assert dynamic_blocked_sets(top, dem, s).mask[6, out].all()
         assert not dynamic_blocked_sets(top, dem, s, t).mask[6, out].all()
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the mended "
+                       "order gives a full cache no hop")
+    @pytest.mark.parametrize("seed", [7205, 17016, 21016])
+    def test_benchmark_instance_leaves_no_stranded_cache(self, seed):
+        # grid-25 benchmark instances that never converge: each sits at
+        # residual 1.0 up to the 20000-period cap with one full cache at
+        # t = 0 whose out-links the sets from the arrival rates all block,
+        # (item, node) = (13, 5), (3, 4) and (5, 4) in seed order
+        scen = generate_scenario(TABLE_PRESETS["grid-25"], seed)
+        top, dem, cost = scen.topology, scen.demand, scen.cost
+        s = run_gp(top, dem, cost, GPConfig(
+            alpha=0.05, blocked_mode="dynamic", tol=1e-4,
+            max_periods=500)).strategy
+        t = solve_traffic(top, dem, s, cost).t
+        open_out = np.zeros(s.y.shape, dtype=int)
+        np.add.at(open_out, (slice(None), top.src),
+                  ~dynamic_blocked_sets(top, dem, s, t).mask)
+        stranded = (~dem.server_mask & (t <= 0.0) & (s.y > 0.0)
+                    & (open_out == 0))
+        assert not stranded.any(), np.argwhere(stranded).tolist()
+
     def test_loopy_start_raises_loop_error(self):
         # a phi = 1 two-cycle makes the traffic solve divergent; dynamic
         # sets still report it as the loop it is

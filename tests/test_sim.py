@@ -2,6 +2,9 @@
 
 import dataclasses
 import gc
+import hashlib
+import json
+import pathlib
 import weakref
 
 import numpy as np
@@ -190,6 +193,42 @@ class TestSchedule:
         # NaN passes a `<= 0` check and inf puts every request in flight
         with pytest.raises(ConfigurationError, match="finite and positive"):
             SimSchedule(**{field: bad})
+
+
+    def test_window_longer_than_the_run_rejected(self):
+        # a 10-long run with a window of 25 would simulate nothing
+        with pytest.raises(ConfigurationError, match="longer than the run"):
+            SimSchedule(t_slot=5.0, slots_per_period=2, periods=1, t_monitor=25.0)
+
+    @pytest.mark.parametrize("t_monitor, ends", [
+        (4.0, [4.0, 8.0]),            # the last 2 time units are not simulated
+        (6.0, [6.0]),                 # no window reaches past the run
+        (2.5, [2.5, 5.0, 7.5, 10.0]),
+        (10.0 / 3, [10.0 / 3, 20.0 / 3, 10.0]),   # 3 windows, up to rounding
+    ])
+    @pytest.mark.parametrize("walk", ["array", "request", "reference"])
+    def test_run_ends_with_its_last_whole_window(self, t_monitor, ends, walk):
+        import io
+
+        scen = line_scenario(rate=5.0)
+        sched = SimSchedule(t_slot=5.0, slots_per_period=2, periods=1,
+                            t_monitor=t_monitor, hop_latency=0.05)
+        pol = FrozenStrategyPolicy(Strategy.from_dicts(
+            scen.topology, 1, phi={(0, 1, 0): 1.0, (1, 2, 0): 1.0}))
+        if walk == "reference":
+            run = reference_run_simulation(scen, pol, sched, seed=2)
+        else:
+            trace = io.StringIO()
+            if walk == "request":
+                request_walk(pol)
+            run = run_simulation(scen, pol, sched, seed=2, trace=trace)
+            stamps = [float(line.split()[0])
+                      for line in trace.getvalue().splitlines()]
+            assert ends[-1] - 0.5 < max(stamps) < ends[-1]
+        np.testing.assert_allclose([r.time for r in run.records], ends,
+                                   rtol=1e-12)
+        assert all(r.period == 0 for r in run.records)
+        assert all(r.measured_link_cost > 0 for r in run.records)
 
 
 class TestEventLoop:
@@ -827,7 +866,8 @@ class TestArrayWalk:
     reference."""
 
     SCHEDULES = {
-        # hops 0.13 apart straddle 0.7-long windows and 1-long slots
+        # hops 0.13 apart straddle 0.7-long windows and 1-long slots; 12
+        # whole windows end the run at 8.4
         "straddle": SimSchedule(t_slot=1.0, slots_per_period=3, periods=3,
                                 t_monitor=0.7, hop_latency=0.13),
         # 22 windows of 0.4 end the run at 8.8, inside its last slot
@@ -913,6 +953,68 @@ class TestArrayWalk:
         sched = SimSchedule(t_slot=2.0, slots_per_period=2, periods=3,
                             t_monitor=0.25)
         TestRequestWalk._assert_same_mean(scen, make, sched, seeds=(1, 2))
+
+
+# a run whose 0.5-long windows divide it, with hops 0.13 apart that straddle
+# windows and slots
+PIN_SCHEDULE = SimSchedule(t_slot=1.0, slots_per_period=3, periods=4,
+                           t_monitor=0.5, hop_latency=0.13)
+PIN_FILE = pathlib.Path(__file__).parent / "data" / "request_walk_pins.json"
+
+
+def request_walk_pin(policy, seed):
+    """The outputs of one eviction-policy run on grid-25 seed 1 that
+    ``PIN_FILE`` pins, as JSON values.  The file holds this function's
+    values from the request-atomic walk that kept per-segment hop lists and
+    a pending queue, keyed ``"<policy>/<seed>"``."""
+    scen = generate_scenario(TABLE_PRESETS["grid-25"], seed=1)
+    pol = make_policy(policy)
+    measured = []   # each update's measured link rates and arrival rates
+    on_update = pol.on_update
+
+    def recorded(period, measured_F, measured_arrivals):
+        measured.append(hashlib.sha256(
+            measured_F.tobytes() + measured_arrivals.tobytes()).hexdigest())
+        return on_update(period, measured_F, measured_arrivals)
+
+    pol.on_update = recorded
+    run = run_simulation(scen, pol, PIN_SCHEDULE, seed, keep_flow_samples=True)
+    counts = np.rint(np.array([r.measured_F for r in run.records])
+                     * PIN_SCHEDULE.t_monitor).astype(np.int64)
+    miss = run.miss_cost_item.ravel()
+    nonzero = np.flatnonzero(miss)
+    return {
+        "counters": [run.requests_issued, run.responses_delivered,
+                     run.in_flight, run.unroutable_total],
+        "window_hops": counts.sum(axis=1).tolist(),
+        "link_counts_sha256": hashlib.sha256(counts.tobytes()).hexdigest(),
+        "measured_sha256": measured,
+        "unroutable": [r.unroutable for r in run.records],
+        "cache_size": [r.total_cache_size for r in run.records],
+        "cache_cost": [r.measured_cache_cost for r in run.records],
+        "caches": [[i, k, *entry] for i, c in enumerate(run.policy.caches)
+                   for k, entry in sorted(c.entries.items())],
+        "miss_cost": run.miss_cost.tolist(),
+        "miss_index": nonzero.tolist(),
+        "miss_value": miss[nonzero].tolist(),
+    }
+
+
+class TestRequestWalkPins:
+    """Eviction-policy outputs of the request-atomic walk against values
+    pinned in ``PIN_FILE``: everything counted exactly, the miss costs up
+    to their order of summation."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("policy", ["sp-lru", "sp-lfu", "mincost"])
+    def test_outputs_match_pins(self, policy, seed):
+        want = json.loads(PIN_FILE.read_text())[f"{policy}/{seed}"]
+        got = request_walk_pin(policy, seed)
+        assert got["counters"][0] > 3000 and got["counters"][2] > 0
+        for key in ("miss_cost", "miss_value"):
+            np.testing.assert_allclose(got.pop(key), want.pop(key),
+                                       rtol=1e-12, atol=0)
+        assert got == want
 
 
 class TestSimulatorLifetime:
