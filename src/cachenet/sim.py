@@ -287,8 +287,9 @@ class Simulator:
         walk = self._walker()
         lat, stop = self.schedule.hop_latency, self.stop
         for end, times, item, node in self._arrivals():
-            # the last hop of each request surely stamped before the end of
-            # the run: hop h's stamp t0 + h * lat does not fall as h falls
+            # per request, a hop up to which every stamp is before the end
+            # of the run (stamps do not decrease with h, so checking this
+            # hop's covers the earlier ones), or -1; capped to stay an int
             safe = np.minimum((stop - times) / lat, 1e15).astype(np.int64) - 1
             safe[times + safe * lat >= stop] = -1
             first, seg_end = 0, self.seg_end
